@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -211,24 +210,18 @@ def cmd_sweep(args) -> int:
         ((float(mu), f, float(a)) for mu in mus for f in fs for a in avals),
         key=lambda t: (t[0], t[1].label, t[2]))
 
-    def run(item):
-        mu, f, a = item
-        p = ProblemParams(args.n, args.k, mu)
-        report = detect_blowup(p, f, a, r_max=args.r_max,
-                               phi_cap=args.phi_cap, h0=args.h)
-        return mu, f.label, a, report
-
-    with ThreadPoolExecutor(max_workers=min(8, len(tuples))) as pool:
-        results = list(pool.map(run, tuples))
+    reports = [detect_blowup(ProblemParams(args.n, args.k, mu), f, a,
+                             r_max=args.r_max, phi_cap=args.phi_cap, h0=args.h)
+               for mu, f, a in tuples]
     with _open_out(args.out) as fh:
         fh.write("n,k,mu,f,a,status,r_estimate,r_lo,r_hi\n")
-        for mu, label, a, report in results:
+        for (mu, f, a), report in zip(tuples, reports):
             if report.status == FINITE_BLOWUP:
                 lo, hi = report.bracket
                 tail = f"{report.r_estimate:.17g},{lo:.17g},{hi:.17g}"
             else:
                 tail = ",,"
-            fh.write(f"{args.n},{args.k},{mu:.17g},{label},{a:.17g},"
+            fh.write(f"{args.n},{args.k},{mu:.17g},{f.label},{a:.17g},"
                      f"{report.status},{tail}\n")
     return EXIT_OK
 

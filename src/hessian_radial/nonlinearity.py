@@ -12,6 +12,7 @@ the log domain, exp(k * log f(t)), so that large k and fast-growing f only
 overflow where the true value does.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -95,7 +96,19 @@ class Nonlinearity:
         return float(out[0]) if scalar else out.reshape(np.shape(t))
 
     def log_eval(self, t):
-        """log f(t); -inf where f(t) = 0.  Raises if f(t) < 0."""
+        """log f(t); -inf where f(t) = 0.  Raises if f(t) < 0.  A float
+        takes a plain-float path that matches the array path bit for bit."""
+        if isinstance(t, float):
+            if self.family == "const":
+                return float(np.log(self.param))
+            if self.family == "exp":
+                return self.param * t
+            if self.family == "pow":
+                return self.param * float(np.log(t)) if t > 0 else -math.inf
+            v = float(self.fn(float(t)))
+            if v < 0:
+                raise ValueError("custom nonlinearity takes negative values")
+            return float(np.log(v)) if v > 0 else -math.inf
         scalar = np.ndim(t) == 0
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         if self.family == "const":

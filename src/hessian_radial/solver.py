@@ -8,6 +8,10 @@ Two routes to the same fixed point:
 * :func:`picard_solve` -- fixed-point iteration of the integral operator on a
   fixed grid, starting from the constant initial value.
 
+One walker, :func:`_walk`, carries the break line node by node in plain
+floats, on fixed nodes for :func:`euler_break_line` and with an adaptive
+step for :func:`detect_blowup`; Picard works on whole arrays.
+
 The Volterra accumulation uses a product-trapezoid rule: the integrand is
 split as s^(n-1) * G(s) with G smooth down to s = 0, G is interpolated
 linearly on each cell and the s^(n-1) weight is integrated exactly.  A plain
@@ -167,8 +171,7 @@ def _cell_increment(s0: float, s1: float, G0: float, G1: float, n: int) -> float
     Q = (s1 ** (n + 1) - s0 ** (n + 1)) / (n + 1)
     A = max((s1 * P - Q) / h, 0.0)
     B = max((Q - s0 * P) / h, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return A * G0 + B * G1
+    return A * G0 + B * G1
 
 
 def _cell_increments(grid: np.ndarray, G: np.ndarray, n: int) -> np.ndarray:
@@ -195,6 +198,12 @@ def _forward_pass(p: ProblemParams, f: Nonlinearity, grid: np.ndarray,
     return I, dphi
 
 
+def _require_sizes(**sizes: float) -> None:
+    for name, value in sizes.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def _require_solvable(p: ProblemParams, a: float, r_end: float,
                       h: float) -> None:
     if not p.admissible_regime():
@@ -203,50 +212,81 @@ def _require_solvable(p: ProblemParams, a: float, r_end: float,
             "solution on the whole space")
     if not math.isfinite(a):
         raise ValueError(f"initial value must be finite, got {a}")
-    if not r_end > 0:
-        raise ValueError(f"r_end must be > 0, got {r_end}")
-    if not 0 < h <= r_end:
+    _require_sizes(r_end=r_end, h=h)
+    if not h <= r_end:
         raise ValueError(f"need 0 < h <= r_end, got h={h}")
+
+
+def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
+          h: float, nodes: list | None = None, phi_cap: float = math.inf):
+    """The break line from (0, a) to r_end in plain floats.  With `nodes`
+    it visits exactly those radii and ends after the first non-finite node;
+    otherwise it steps by h, halving it while the predicted increment exceeds
+    max(1, 0.01 * phi_cap), and ends at blow-up: phi above phi_cap or a step
+    below h * 2^-40.  Returns the columns (r, phi, dphi, I) and the blow-up
+    bracket, None if r_end was reached."""
+    step_cap = max(1.0, 0.01 * phi_cap)
+    h_min = h * 2.0 ** -40
+    r, phi, dphi, I = 0.0, float(a), 0.0, 0.0
+    G = _smooth_factor(p, f, r, phi)
+    rs, phis, dphis, Is = [r], [phi], [dphi], [I]
+    bracket = None
+    # sizes given as numpy scalars make the arithmetic numpy's, and overflow
+    # is deliberate here: a column running to +inf signals blow-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        while r_end - r > 1e-12 * r_end:
+            if nodes is not None:
+                if not dphi < math.inf:
+                    break
+                r_new = nodes[len(rs)]
+                step = r_new - r
+            else:
+                h_entry = h
+                step = min(h, r_end - r)
+                while not (math.isfinite(dphi * step)
+                           and dphi * step <= step_cap):
+                    h /= 2.0
+                    step = min(h, r_end - r)
+                    if h < h_min:
+                        break
+                if h < h_min:
+                    # the slope at this node defeats any representable step
+                    bracket = (r, r + h_entry)
+                    break
+                r_new = r + step
+            phi += dphi * step
+            G_new = _smooth_factor(p, f, r_new, phi) \
+                if math.isfinite(phi) else math.inf
+            I += _cell_increment(r, r_new, G, G_new, p.n)
+            dphi = dphi_from_integral(p, r_new, I) \
+                if 0.0 <= I < math.inf else math.inf
+            rs.append(r_new)
+            phis.append(phi)
+            dphis.append(dphi)
+            Is.append(I)
+            if phi > phi_cap:
+                bracket = (r, r_new)
+                break
+            r, G = r_new, G_new
+    return (rs, phis, dphis, Is), bracket
 
 
 def euler_break_line(p: ProblemParams, f: Nonlinearity, a: float,
                      r_end: float, h: float) -> RadialProfile:
     """Advance the break line with the slope frozen at the left node.
 
-    The slope at a node is recovered from the running quadrature of the
+    The walk (:func:`_walk`) visits the nodes of a uniform grid, and the
+    slope at a node is recovered from the running quadrature of the
     integrand along the line built so far.  If the accumulation overflows
-    before r_end the profile is truncated there and flagged via
-    `truncated_at`; use :func:`detect_blowup` for a proper bracket.
+    before r_end, :func:`_profile_from_walk` cuts the profile before the
+    first non-finite node and records that node's radius in `truncated_at`;
+    use :func:`detect_blowup` for a proper bracket.
     """
     _require_solvable(p, a, r_end, h)
-    grid = _uniform_grid(r_end, h)
-    m = len(grid) - 1
-    phi = np.zeros(m + 1)
-    dphi = np.zeros(m + 1)
-    I = np.zeros(m + 1)
-    phi[0] = a
-    G_prev = float(_smooth_factor(p, f, 0.0, a))
-    truncated_at = None
-    last = m
-    for i in range(1, m + 1):
-        r0, r1 = grid[i - 1], grid[i]
-        phi_i = phi[i - 1] + dphi[i - 1] * (r1 - r0)
-        G_i = float(_smooth_factor(p, f, r1, phi_i)) if np.isfinite(phi_i) \
-            else np.inf
-        I_i = I[i - 1] + _cell_increment(r0, r1, G_prev, G_i, p.n)
-        dphi_i = float(dphi_from_integral(p, r1, I_i)) if np.isfinite(I_i) \
-            else np.inf
-        if not (np.isfinite(phi_i) and np.isfinite(I_i) and np.isfinite(dphi_i)):
-            truncated_at = float(r1)
-            last = i - 1
-            break
-        phi[i], dphi[i], I[i] = phi_i, dphi_i, I_i
-        G_prev = G_i
-    sl = slice(0, last + 1)
-    profile = RadialProfile(grid[sl], phi[sl], dphi[sl], I[sl], p, f,
-                            truncated_at=truncated_at)
-    profile.validate()
-    if last >= 1:
+    columns, _ = _walk(p, f, a, r_end, h,
+                       nodes=_uniform_grid(r_end, h).tolist())
+    profile = _profile_from_walk(p, f, *columns)
+    if len(profile.grid) >= 2:
         profile = replace(profile, defect=per_cell_defect(profile))
     return profile
 
@@ -312,44 +352,9 @@ def epsilon_defect(profile: RadialProfile) -> float:
 
 def _blowup_walk(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
                  phi_cap: float, h0: float) -> BlowupReport:
-    h_min = h0 * 2.0 ** -40
-    step_cap = max(1.0, 0.01 * phi_cap)
-    rs, phis, dphis, Is = [0.0], [float(a)], [0.0], [0.0]
-    G_prev = float(_smooth_factor(p, f, 0.0, a))
-    h = h0
-    status, bracket = GLOBAL, None
-    while r_max - rs[-1] > 1e-12 * r_max:
-        h_entry = h
-        h_try = min(h, r_max - rs[-1])
-        while not (np.isfinite(dphis[-1] * h_try)
-                   and dphis[-1] * h_try <= step_cap):
-            h /= 2.0
-            h_try = min(h, r_max - rs[-1])
-            if h < h_min:
-                break
-        if h < h_min:
-            # the slope at this node defeats any representable step
-            status = FINITE_BLOWUP
-            bracket = (rs[-1], rs[-1] + h_entry)
-            break
-        r_new = rs[-1] + h_try
-        phi_new = phis[-1] + dphis[-1] * h_try
-        G_new = float(_smooth_factor(p, f, r_new, phi_new)) \
-            if np.isfinite(phi_new) else np.inf
-        I_new = Is[-1] + _cell_increment(rs[-1], r_new, G_prev, G_new, p.n)
-        dphi_new = float(dphi_from_integral(p, r_new, I_new)) \
-            if np.isfinite(I_new) and I_new >= 0 else np.inf
-        rs.append(r_new)
-        phis.append(phi_new)
-        dphis.append(dphi_new)
-        Is.append(I_new)
-        G_prev = G_new
-        if phi_new > phi_cap:
-            status = FINITE_BLOWUP
-            bracket = (rs[-2], rs[-1])
-            break
-    profile = _profile_from_walk(p, f, rs, phis, dphis, Is)
-    if status == GLOBAL:
+    columns, bracket = _walk(p, f, a, r_max, h0, phi_cap=phi_cap)
+    profile = _profile_from_walk(p, f, *columns)
+    if bracket is None:
         return BlowupReport(GLOBAL, r_max, profile=profile)
     lo, hi = bracket
     return BlowupReport(FINITE_BLOWUP, r_max, r_estimate=0.5 * (lo + hi),
@@ -378,8 +383,7 @@ def detect_blowup(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
     estimate is Richardson-combined from runs at h0 and h0/2 (the walk is
     first-order), and the finer run's bracket is reported.
     """
-    if not (r_max > 0 and h0 > 0):
-        raise ValueError("r_max and h0 must be > 0")
+    _require_sizes(r_max=r_max, h0=h0)
     if not math.isfinite(a):
         raise ValueError(f"initial value must be finite, got {a}")
     if not phi_cap > a:

@@ -52,6 +52,12 @@ class TestSolve:
         lo, hi = diag["bracket"]
         assert lo < diag["r_estimate"] <= hi
 
+    def test_infinite_r_end_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "solve", "--n", "2", "--k", "1", "--mu", "0",
+                           "--f", "const:1", "--a", "0", "--r-end", "inf")
+        assert code == 64
+        assert "invalid configuration" in err
+
     def test_json_format(self, tmp_path, capsys):
         out = tmp_path / "profile.json"
         code, _, _ = run(capsys, "solve", "--n", "3", "--k", "2", "--mu", "0.1",

@@ -1,16 +1,18 @@
 """Radial reduction: spectrum, S_k closed form, integrand, ODE residual."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hessian_radial import (Nonlinearity, ProblemParams, SingularityError,
                             binom, chi, ddphi_at_zero, ddphi_from_ode,
                             dphi_from_integral, elem_sym, ode_residual,
                             radial_spectrum, sk_radial, volterra_integrand)
+from hessian_radial.radial import _exp, _smooth_factor
 
 CONST1 = Nonlinearity.constant(1.0)
 
@@ -177,6 +179,86 @@ class TestDphiFromIntegral:
         vec = dphi_from_integral(p, rs, Is)
         for r, I, v in zip(rs, Is, vec):
             assert dphi_from_integral(p, float(r), float(I)) == v
+
+
+SOURCES = {
+    "const": Nonlinearity.constant(1.7),
+    "exp": Nonlinearity.exponential(1.3),
+    "pow": Nonlinearity.power_cutoff(2.5),
+    "custom": Nonlinearity.custom(lambda t: t * t if t > 0 else 0.0,
+                                  positive_everywhere=False),
+}
+# k = 1 with any mu (1 + mu s < 0 included), k >= 2 with mu >= 0: the
+# log-domain branch of G, which is what the break-line walk evaluates
+regimes = st.tuples(st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 4), (5, 3),
+                                     (6, 2)]),
+                    st.floats(min_value=-2, max_value=2)).map(
+    lambda t: ProblemParams(*t[0], t[1] if t[0][1] == 1 else abs(t[1])))
+
+
+def float_path(fn, *args):
+    """fn(*args) on floats, asserting that no RuntimeWarning escapes."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert type(out) is float
+    return out
+
+
+def array_path(fn, *args):
+    """Element 0 of fn on length-2 arrays whose first entries are args."""
+    with np.errstate(all="ignore"):
+        return fn(*(np.array([x, 1.0]) for x in args))[0]
+
+
+class TestFloatPaths:
+    """The plain-float paths the walk takes equal the array paths Picard
+    takes bit for bit (==, never approx)."""
+
+    # the examples are arguments where math.log differs from numpy's log in
+    # the last bit, by enough to change the result
+    @given(st.sampled_from(sorted(SOURCES)),
+           st.floats(min_value=-800, max_value=800))
+    @example("pow", 1.006146274048984)
+    @example("custom", 1.006146274048984)
+    @settings(max_examples=300, deadline=None)
+    def test_log_eval(self, family, t):
+        f = SOURCES[family]
+        assert float_path(f.log_eval, t) == array_path(f.log_eval, t)
+
+    @given(regimes, st.sampled_from(sorted(SOURCES)),
+           st.floats(min_value=0, max_value=50),
+           st.floats(min_value=-800, max_value=800))
+    @example(ProblemParams(3, 2, 0.06772768657360495), "const", 40.0, 0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_smooth_factor(self, p, family, s, phi):
+        def G(s_, phi_):
+            return _smooth_factor(p, SOURCES[family], s_, phi_)
+        assert float_path(G, s, phi) == array_path(G, s, phi)
+
+    @given(regimes, st.floats(min_value=1e-6, max_value=50),
+           st.one_of(st.just(0.0), st.floats(min_value=0, max_value=1e308)))
+    @example(ProblemParams(6, 1, 0.0), 11.002803349408834, 1.0)
+    @example(ProblemParams(2, 1, 0.0), 1.0, 19.27275429690081)
+    @settings(max_examples=300, deadline=None)
+    def test_dphi_from_integral(self, p, r, I):
+        def dphi(r_, I_):
+            return dphi_from_integral(p, r_, I_)
+        assert float_path(dphi, r, I) == array_path(dphi, r, I)
+
+    def test_zero_integral_and_overflow(self):
+        p = ProblemParams(3, 1, -0.5)
+        assert float_path(dphi_from_integral, p, 2.0, 0.0) == 0.0
+        assert float_path(dphi_from_integral, p, 1e-6, 1e308) == math.inf
+        assert float_path(_smooth_factor, p, SOURCES["exp"], 0.5,
+                          1000.0) == math.inf
+        # numpy's exp is finite at log(DBL_MAX) and overflows one ulp above
+        edge = 709.782712893384
+        for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 800.0)):
+            assert float_path(_exp, float(x)) == array_path(np.exp, x)
+        assert _exp(edge) < math.inf
+        assert _exp(float(np.nextafter(edge, 800.0))) == math.inf
 
 
 class TestOdeResidual:

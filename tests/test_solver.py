@@ -62,6 +62,12 @@ class TestEulerBreakLine:
         assert prof.truncated_at < 3.0
         assert np.all(np.isfinite(prof.phi))
 
+    @pytest.mark.parametrize("r_end,h", [(math.inf, 0.1), (math.nan, 0.1),
+                                         (1.0, math.nan)])
+    def test_rejects_non_finite_sizes(self, r_end, h):
+        with pytest.raises(ValueError):
+            euler_break_line(ProblemParams(2, 1, 0.0), CONST1, 0.0, r_end, h)
+
     def test_self_consistency_is_exact(self):
         p = ProblemParams(5, 3, 0.3)
         prof = euler_break_line(p, EXP1, 0.0, 1.0, 1/64)
@@ -221,6 +227,26 @@ class TestDetectBlowup:
         with pytest.raises(ValueError):
             detect_blowup(ProblemParams(2, 1, 0.0), CONST1, 2.0, r_max=1.0,
                           phi_cap=1.0)
+
+    @pytest.mark.parametrize("r_max,h0", [(math.inf, 1e-3), (10.0, math.inf),
+                                          (math.nan, 1e-3), (10.0, math.nan)])
+    def test_rejects_non_finite_sizes(self, r_max, h0):
+        # an infinite size must not come back as a global run: exp:1 blows
+        # up at sqrt(8)
+        with pytest.raises(ValueError):
+            detect_blowup(ProblemParams(2, 1, 0.0), EXP1, 0.0, r_max=r_max,
+                          h0=h0)
+
+    @pytest.mark.parametrize("f,status", [(CONST1, GLOBAL),
+                                          (EXP1, FINITE_BLOWUP)])
+    def test_self_consistency_is_exact(self, f, status):
+        p = ProblemParams(3, 2, 0.2)
+        rep = detect_blowup(p, f, 0.5, r_max=3.0, h0=1e-2)
+        assert rep.status == status
+        prof = rep.profile
+        for i in range(1, len(prof.grid)):
+            assert prof.dphi[i] == dphi_from_integral(
+                p, float(prof.grid[i]), float(prof.volterra[i]))
 
 
 class TestRefinementOrder:
