@@ -1,9 +1,11 @@
 """Command-line front end: solve, ko, verify, mu0 and sweep workflows.
 
 Exit codes: 0 ok, 2 admissibility rejection, 3 blow-up before r_end,
-4 inconclusive classification, 10 I/O failure, 64 usage error.  Outputs are
-deterministic: CSV floats carry 17 significant digits and sweep rows are
-sorted by parameter tuple regardless of execution order.
+4 inconclusive classification, 10 I/O failure, 64 usage error.  A radius
+(--r-end, --r-max) must keep r^(n+1) below the largest float.  A sweep
+tuple that is rejected gets an `error` row and the sweep exits 64 after
+writing every row.  Outputs are deterministic: CSV floats carry 17
+significant digits and sweep rows are sorted by parameter tuple.
 """
 
 import argparse
@@ -19,7 +21,8 @@ from .keller_osserman import (DIVERGES, INCONCLUSIVE, ko_classify_analytic,
 from .nonlinearity import parse_f_spec
 from .radial import AdmissibilityError, ProblemParams
 from .solver import (ADMISSIBILITY_FAILURE, FINITE_BLOWUP, SCHEMA_ID,
-                     NonConvergenceError, detect_blowup, picard_solve)
+                     NonConvergenceError, _require_radius, _require_sizes,
+                     detect_blowup, picard_solve)
 from .symmetric import mu_zero
 
 __all__ = ["main"]
@@ -203,27 +206,44 @@ def cmd_mu0(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """One `detect_blowup` row per (mu, f, a) tuple, sorted by tuple.
+
+    --r-max and --h are checked once, before any walk; a bad value there is
+    a usage error and writes no rows.  A tuple whose parameters or walk are
+    rejected with ValueError gets an `error` row (empty radii) and a line on
+    stderr, the other tuples still run, and the exit code is then 64.
+    """
     mus = _parse_grid(args.mu)
     avals = _parse_grid(args.a)
     fs = _parse_f_grid(args.f)
+    _require_sizes(r_max=args.r_max, h0=args.h)
+    _require_radius(args.n, r_max=args.r_max)
     tuples = sorted(
         ((float(mu), f, float(a)) for mu in mus for f in fs for a in avals),
         key=lambda t: (t[0], t[1].label, t[2]))
 
-    reports = [detect_blowup(ProblemParams(args.n, args.k, mu), f, a,
-                             r_max=args.r_max, phi_cap=args.phi_cap, h0=args.h)
-               for mu, f, a in tuples]
-    with _open_out(args.out) as fh:
-        fh.write("n,k,mu,f,a,status,r_estimate,r_lo,r_hi\n")
-        for (mu, f, a), report in zip(tuples, reports):
-            if report.status == FINITE_BLOWUP:
+    rows, failed = [], False
+    for mu, f, a in tuples:
+        tail = ",,"
+        try:
+            report = detect_blowup(ProblemParams(args.n, args.k, mu), f, a,
+                                   r_max=args.r_max, phi_cap=args.phi_cap,
+                                   h0=args.h)
+        except ValueError as exc:
+            print(f"sweep: mu={mu:.17g} f={f.label} a={a:.17g}: {exc}",
+                  file=sys.stderr)
+            status, failed = "error", True
+        else:
+            status = report.status
+            if status == FINITE_BLOWUP:
                 lo, hi = report.bracket
                 tail = f"{report.r_estimate:.17g},{lo:.17g},{hi:.17g}"
-            else:
-                tail = ",,"
-            fh.write(f"{args.n},{args.k},{mu:.17g},{f.label},{a:.17g},"
-                     f"{report.status},{tail}\n")
-    return EXIT_OK
+        rows.append(f"{args.n},{args.k},{mu:.17g},{f.label},{a:.17g},"
+                    f"{status},{tail}\n")
+    with _open_out(args.out) as fh:
+        fh.write("n,k,mu,f,a,status,r_estimate,r_lo,r_hi\n")
+        fh.writelines(rows)
+    return EXIT_USAGE if failed else EXIT_OK
 
 
 _COMMANDS = {"solve": cmd_solve, "ko": cmd_ko, "verify": cmd_verify,

@@ -42,6 +42,11 @@ GLOBAL = "global"
 FINITE_BLOWUP = "finite_blowup"
 ADMISSIBILITY_FAILURE = "admissibility_failure"
 
+# a block of profile CSV rows is about 110 kB of text; the whole file at
+# once would be ~10 MB for a 1e5-node profile
+_CSV_BLOCK_ROWS = 1024
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+
 
 class NonConvergenceError(RuntimeError):
     """Fixed-point iteration failed; carries the last two node distances."""
@@ -103,12 +108,19 @@ class RadialProfile:
     def to_csv(self, fileobj) -> None:
         """Write columns r,phi,dphi,volterra,defect with 17 significant
         digits (byte-identical for identical profiles); the defect of the
-        cell ending at node i is written on row i, 0.0 on row 0."""
+        cell ending at node i is written on row i, 0.0 on row 0.  Rows go
+        out _CSV_BLOCK_ROWS at a time, one formatted string per write."""
         defects = np.concatenate(([0.0], self.cell_defects())) \
             if len(self.grid) >= 2 else np.zeros(len(self.grid))
         fileobj.write("r,phi,dphi,volterra,defect\n")
-        for row in zip(self.grid, self.phi, self.dphi, self.volterra, defects):
-            fileobj.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        columns = (self.grid, self.phi, self.dphi, self.volterra, defects)
+        for start in range(0, len(self.grid), _CSV_BLOCK_ROWS):
+            block = np.column_stack(
+                [col[start:start + _CSV_BLOCK_ROWS] for col in columns])
+            # %.17g on a Python float formats exactly as f"{v:.17g}" does
+            # on a numpy float64: both go through PyOS_double_to_string
+            fileobj.write((_CSV_ROW * len(block))
+                          % tuple(block.ravel().tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,6 +216,17 @@ def _require_sizes(**sizes: float) -> None:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
+def _require_radius(n: int, **radii: float) -> None:
+    """The cell quadrature takes s^(n+1), so a finite radius must keep that
+    power a float: r^(n+1) < DBL_MAX (r < 5.6e102 at n=2)."""
+    for name, value in radii.items():
+        try:
+            float(value) ** (n + 1)
+        except OverflowError:
+            raise ValueError(f"{name}={value} is too large: {name}^(n+1) "
+                             f"overflows a float at n={n}") from None
+
+
 def _require_solvable(p: ProblemParams, a: float, r_end: float,
                       h: float) -> None:
     if not p.admissible_regime():
@@ -213,6 +236,7 @@ def _require_solvable(p: ProblemParams, a: float, r_end: float,
     if not math.isfinite(a):
         raise ValueError(f"initial value must be finite, got {a}")
     _require_sizes(r_end=r_end, h=h)
+    _require_radius(p.n, r_end=r_end)
     if not h <= r_end:
         raise ValueError(f"need 0 < h <= r_end, got h={h}")
 
@@ -384,6 +408,7 @@ def detect_blowup(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
     first-order), and the finer run's bracket is reported.
     """
     _require_sizes(r_max=r_max, h0=h0)
+    _require_radius(p.n, r_max=r_max)
     if not math.isfinite(a):
         raise ValueError(f"initial value must be finite, got {a}")
     if not phi_cap > a:

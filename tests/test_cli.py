@@ -58,6 +58,16 @@ class TestSolve:
         assert code == 64
         assert "invalid configuration" in err
 
+    def test_radius_whose_power_overflows_is_usage_error(self, capsys):
+        # Picard overflows first and the blow-up fallback used to raise
+        # OverflowError from r^(n+1) with a traceback
+        code, _, err = run(capsys, "solve", "--n", "2", "--k", "1", "--mu", "0",
+                           "--f", "const:1", "--a", "0", "--r-end", "1e200",
+                           "--h", "1e199")
+        assert code == 64
+        assert "invalid configuration" in err
+        assert "Traceback" not in err
+
     def test_json_format(self, tmp_path, capsys):
         out = tmp_path / "profile.json"
         code, _, _ = run(capsys, "solve", "--n", "3", "--k", "2", "--mu", "0.1",
@@ -158,6 +168,35 @@ class TestSweep:
         assert run(capsys, *args, "--out", str(out1))[0] == 0
         assert run(capsys, *args, "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+    def test_invalid_tuple_gets_an_error_row(self, tmp_path, capsys):
+        # a = 1e8 and 2e8 reach phi_cap; the grid still runs to the end
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--n", "2", "--k", "1",
+                           "--f", "exp:1", "--a", "0:2e8:3", "--mu", "0",
+                           "--out", str(out))
+        assert code == 64
+        rows = [line.split(",")
+                for line in out.read_text().strip().splitlines()[1:]]
+        assert [float(r[4]) for r in rows] == [0.0, 1e8, 2e8]
+        assert [r[5] for r in rows] == ["finite_blowup", "error", "error"]
+        assert all(r[6:] == ["", "", ""] for r in rows[1:])
+        assert err.count("\n") == 2
+        assert "a=100000000" in err and "a=200000000" in err
+
+    @pytest.mark.parametrize("flag,value", [("--r-max", "1e200"),
+                                            ("--r-max", "inf"),
+                                            ("--h", "nan")])
+    def test_bad_walk_size_writes_no_rows(self, tmp_path, capsys, flag,
+                                          value):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--n", "2", "--k", "1",
+                           "--f", "exp:1", "--a", "0:1:2", "--mu", "0",
+                           flag, value, "--out", str(out))
+        assert code == 64
+        assert "invalid configuration" in err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hessian_radial import (AdmissibilityError, Nonlinearity,
                             NonConvergenceError, ProblemParams,
@@ -13,7 +16,7 @@ from hessian_radial import (AdmissibilityError, Nonlinearity,
                             detect_blowup, dphi_from_integral, epsilon_defect,
                             euler_break_line, per_cell_defect, picard_solve,
                             refinement_order)
-from hessian_radial.solver import (FINITE_BLOWUP, GLOBAL,
+from hessian_radial.solver import (_CSV_BLOCK_ROWS, FINITE_BLOWUP, GLOBAL,
                                    ADMISSIBILITY_FAILURE, RadialProfile)
 
 CONST1 = Nonlinearity.constant(1.0)
@@ -23,6 +26,56 @@ EXP1 = Nonlinearity.exponential(1.0)
 def closed_form(p, a):
     c = binom(p.n, p.k) ** (1.0 / p.k)
     return lambda r: a + np.asarray(r) ** 2 / (2 * c)
+
+
+def reference_csv(profile):
+    """The row-at-a-time writer that block writing must match byte for byte:
+    one f-string per numpy value, one write per row."""
+    buf = io.StringIO()
+    defects = np.concatenate(([0.0], profile.cell_defects())) \
+        if len(profile.grid) >= 2 else np.zeros(len(profile.grid))
+    buf.write("r,phi,dphi,volterra,defect\n")
+    for row in zip(profile.grid, profile.phi, profile.dphi, profile.volterra,
+                   defects):
+        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    return buf.getvalue()
+
+
+def assert_same_csv(got, want):
+    # name the first differing row: pytest's own diff of two long strings
+    # takes minutes
+    got_rows, want_rows = got.splitlines(True), want.splitlines(True)
+    for i, (g, w) in enumerate(zip(got_rows, want_rows)):
+        assert g == w, f"row {i} differs"
+    assert len(got_rows) == len(want_rows)
+
+
+# -0.0, subnormals down to 5e-324, the ends of the exponent range,
+# integer-valued floats and non-terminating fractions
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                  1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308,
+                  1.0, -3.0, 2.0 ** 53, 2.0 ** 53 + 2, 1e16, 1e22, 0.1, 1 / 3]
+# lengths 1 (no cells: the zeros defect) and around the block edges
+CSV_LENGTHS = [1, 2, 1023, 1024, 1025, 2049]
+
+
+@st.composite
+def raw_profiles(draw):
+    """RadialProfiles built directly from arbitrary float64 columns (not
+    solver output: nothing is validated), with a given defect."""
+    m = draw(st.sampled_from(CSV_LENGTHS) | st.integers(1, 40))
+    values = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+    cols = [draw(arrays(np.float64, m, elements=values)) for _ in range(4)]
+    defect = draw(arrays(np.float64, m - 1, elements=values))
+    return RadialProfile(*cols, ProblemParams(2, 1, 0.0), CONST1,
+                         defect=defect)
+
+
+def _cycled_profile(m):
+    cycle = SPECIAL_FLOATS + [math.nan, math.inf, -math.inf]
+    cols = [np.resize(np.roll(cycle, i), m) for i in range(5)]
+    return RadialProfile(*cols[:4], ProblemParams(2, 1, 0.0), CONST1,
+                         defect=cols[4][1:])
 
 
 class TestEulerBreakLine:
@@ -67,6 +120,12 @@ class TestEulerBreakLine:
     def test_rejects_non_finite_sizes(self, r_end, h):
         with pytest.raises(ValueError):
             euler_break_line(ProblemParams(2, 1, 0.0), CONST1, 0.0, r_end, h)
+
+    def test_rejects_radius_whose_power_overflows(self):
+        # the cell quadrature needs r^(n+1) < DBL_MAX: r < 5.6e102 at n=2
+        with pytest.raises(ValueError, match="overflows"):
+            euler_break_line(ProblemParams(2, 1, 0.0), CONST1, 0.0, 1e200,
+                             1e199)
 
     def test_self_consistency_is_exact(self):
         p = ProblemParams(5, 3, 0.3)
@@ -122,6 +181,10 @@ class TestPicard:
         p = ProblemParams(2, 1, 0.0)
         with pytest.raises(NonConvergenceError):
             picard_solve(p, EXP1, 0.0, 10.0, 1e-2, tol=1e-10, max_iter=60)
+
+    def test_rejects_radius_whose_power_overflows(self):
+        with pytest.raises(ValueError, match="overflows"):
+            picard_solve(ProblemParams(2, 1, 0.0), CONST1, 0.0, 1e200, 1e199)
 
     def test_rejects_inadmissible_regime(self):
         with pytest.raises(AdmissibilityError):
@@ -237,6 +300,17 @@ class TestDetectBlowup:
             detect_blowup(ProblemParams(2, 1, 0.0), EXP1, 0.0, r_max=r_max,
                           h0=h0)
 
+    def test_rejects_radius_whose_power_overflows(self):
+        with pytest.raises(ValueError, match="overflows"):
+            detect_blowup(ProblemParams(2, 1, 0.0), CONST1, 0.0, r_max=1e200,
+                          h0=1e199)
+
+    def test_accepts_radius_below_the_power_limit(self):
+        # 5.6e102^3 = 1.76e308 is still a float; the walk must not raise
+        rep = detect_blowup(ProblemParams(2, 1, 0.0), CONST1, 0.0,
+                            r_max=5.6e102, h0=1e101)
+        assert rep.status in (GLOBAL, FINITE_BLOWUP)
+
     @pytest.mark.parametrize("f,status", [(CONST1, GLOBAL),
                                           (EXP1, FINITE_BLOWUP)])
     def test_self_consistency_is_exact(self, f, status):
@@ -289,6 +363,36 @@ class TestProfileSerialization:
         assert len(lines) == len(prof.grid) + 1
         r_back = [float(line.split(",")[0]) for line in lines[1:]]
         assert r_back == pytest.approx(prof.grid.tolist(), rel=1e-16)
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_profiles())
+    @example(_cycled_profile(1))
+    @example(_cycled_profile(2049))
+    def test_csv_matches_row_at_a_time_writer(self, profile):
+        buf = io.StringIO()
+        profile.to_csv(buf)
+        assert_same_csv(buf.getvalue(), reference_csv(profile))
+
+    @pytest.mark.parametrize("m", CSV_LENGTHS)
+    def test_csv_writes_at_most_one_block_at_a_time(self, m):
+        class RecordingFile:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        profile = _cycled_profile(m)
+        fh = RecordingFile()
+        profile.to_csv(fh)
+        assert_same_csv("".join(fh.writes), reference_csv(profile))
+        header, *blocks = fh.writes
+        assert header == "r,phi,dphi,volterra,defect\n"
+        assert len(blocks) == -(-m // _CSV_BLOCK_ROWS)
+        assert all(b.count("\n") <= _CSV_BLOCK_ROWS for b in blocks)
+        # the memory bound: 1024 rows of five fields, a %.17g field being at
+        # most 24 characters ("-2.2250738585072014e-308") plus a separator
+        assert max(map(len, blocks)) <= 1024 * 5 * 25
 
     def test_json_schema(self):
         p = ProblemParams(2, 1, 0.0)
