@@ -1,7 +1,9 @@
 """Command-line front end: solve, ko, verify, mu0 and sweep workflows.
 
-Exit codes: 0 ok, 2 admissibility rejection, 3 blow-up before r_end,
-4 inconclusive classification, 10 I/O failure, 64 usage error.  A radius
+Exit codes: 0 ok, 1 `solve` found no fixed point although the blow-up walk
+stays bounded up to r_end, 2 admissibility rejection, 3 blow-up before r_end,
+4 inconclusive classification, 10 I/O failure, 64 usage error (including
+non-finite numbers where a finite one is needed).  A radius
 (--r-end, --r-max) must keep r^(n+1) below the largest float.  A sweep
 tuple that is rejected gets an `error` row and the sweep exits 64 after
 writing every row.  Outputs are deterministic: CSV floats carry 17
@@ -20,9 +22,8 @@ from .keller_osserman import (DIVERGES, INCONCLUSIVE, ko_classify_analytic,
                               ExistenceReport, existence_verdict)
 from .nonlinearity import parse_f_spec
 from .radial import AdmissibilityError, ProblemParams
-from .solver import (ADMISSIBILITY_FAILURE, FINITE_BLOWUP, SCHEMA_ID,
-                     NonConvergenceError, _require_radius, _require_sizes,
-                     detect_blowup, picard_solve)
+from .solver import (FINITE_BLOWUP, SCHEMA_ID, NonConvergenceError,
+                     _require_walk_sizes, detect_blowup, picard_solve)
 from .symmetric import mu_zero
 
 __all__ = ["main"]
@@ -64,7 +65,8 @@ def _parse_f_grid(spec: str):
     if len(parts) == 4:
         family = parts[0]
         grid = _parse_grid(":".join(parts[1:]))
-        return [parse_f_spec(f"{family}:{v:g}") for v in grid]
+        # repr round-trips a float exactly, so each source runs its grid value
+        return [parse_f_spec(f"{family}:{float(v)!r}") for v in grid]
     raise ValueError(f"bad f grid spec {spec!r}")
 
 
@@ -136,9 +138,6 @@ def cmd_solve(args) -> int:
     f = parse_f_spec(args.f)
     try:
         profile = picard_solve(p, f, args.a, args.r_end, args.h, tol=args.tol)
-    except AdmissibilityError as exc:
-        print(f"admissibility rejection: {exc}", file=sys.stderr)
-        return EXIT_ADMISSIBILITY
     except NonConvergenceError:
         report = detect_blowup(p, f, args.a, r_max=args.r_end,
                                phi_cap=args.phi_cap, h0=args.h)
@@ -146,9 +145,6 @@ def cmd_solve(args) -> int:
             print("blow-up before r_end: "
                   + json.dumps(report.to_dict()), file=sys.stderr)
             return EXIT_BLOWUP
-        if report.status == ADMISSIBILITY_FAILURE:
-            print("admissibility rejection", file=sys.stderr)
-            return EXIT_ADMISSIBILITY
         print("fixed-point iteration did not converge although the solution "
               "stays bounded; retry with a larger --tol or smaller --r-end",
               file=sys.stderr)
@@ -216,8 +212,7 @@ def cmd_sweep(args) -> int:
     mus = _parse_grid(args.mu)
     avals = _parse_grid(args.a)
     fs = _parse_f_grid(args.f)
-    _require_sizes(r_max=args.r_max, h0=args.h)
-    _require_radius(args.n, r_max=args.r_max)
+    _require_walk_sizes(args.n, "r_max", args.r_max, "h0", args.h)
     tuples = sorted(
         ((float(mu), f, float(a)) for mu in mus for f in fs for a in avals),
         key=lambda t: (t[0], t[1].label, t[2]))
@@ -255,10 +250,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, AdmissibilityError) as exc:
-        if isinstance(exc, AdmissibilityError):
-            print(f"admissibility rejection: {exc}", file=sys.stderr)
-            return EXIT_ADMISSIBILITY
+    except AdmissibilityError as exc:
+        print(f"admissibility rejection: {exc}", file=sys.stderr)
+        return EXIT_ADMISSIBILITY
+    except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial import ProblemParams
-from .symmetric import binom, elem_sym, in_gamma_k
+from .symmetric import binom, elem_sym_all
 
 __all__ = [
     "GaussianCandidate", "RadiusCheck", "SubsolutionReport",
@@ -37,9 +37,9 @@ class GaussianCandidate:
     A: float
 
     def __post_init__(self):
-        if not self.A > 0:
-            raise ValueError(f"Gaussian exponent coefficient must be > 0, "
-                             f"got {self.A}")
+        if not (math.isfinite(self.A) and self.A > 0):
+            raise ValueError(f"Gaussian exponent coefficient must be finite "
+                             f"and > 0, got {self.A}")
 
 
 def _scaled_spectrum(p: ProblemParams, A: float, r: float) -> np.ndarray:
@@ -122,8 +122,9 @@ def default_radii(p: ProblemParams, A: float, r_max: float = 10.0,
     contains 0 and, for mu < 0, the explicit minimizer r* = -mu n / (4A) of
     the trace slack.
     """
-    if r_max <= 0 or count < 2:
-        raise ValueError("need r_max > 0 and count >= 2")
+    if not (math.isfinite(r_max) and r_max > 0) or count < 2:
+        raise ValueError(f"need finite r_max > 0 and count >= 2, got "
+                         f"r_max={r_max}, count={count}")
     n_lin = count // 2
     lin = np.linspace(0.0, r_max, n_lin)
     geo = np.geomspace(r_max * 1e-3, r_max, count - n_lin + 1)[:-1]
@@ -146,14 +147,18 @@ def verify_subsolution(p: ProblemParams, A: float, alpha: float, radii,
     are reported per radius, never raised.
     """
     GaussianCandidate(A)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     checks = []
     first_failure = None
     for r in np.asarray(radii, dtype=float):
         if r < 0:
             raise ValueError(f"radius must be >= 0, got {r}")
         scaled = _scaled_spectrum(p, A, r)
-        gamma_ok = in_gamma_k(scaled, p.k)
-        sk_scaled = elem_sym(scaled, p.k)
+        # S_1..S_k once: Gamma_k membership (as in_gamma_k) and S_k itself
+        sums = elem_sym_all(scaled, p.k)
+        gamma_ok = all(s > 0.0 for s in sums)
+        sk_scaled = sums[-1]
         # S_k = e^(k A r^2) sk_scaled  vs  u^(k alpha) = e^(k alpha A r^2)
         if sk_scaled <= 0.0:
             ok = False

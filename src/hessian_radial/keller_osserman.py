@@ -40,6 +40,8 @@ DEFAULT_MARGIN = 0.05
 FIT_RESIDUAL_MAX = 0.05
 # k * log f beyond this overflows f^k in float64.
 _OVERFLOW_LOG = 700.0
+# Uniform trapezoid nodes for the inner integral over [0, tau_lo].
+_HEAD_NODES = 4097
 
 
 @dataclass(frozen=True)
@@ -121,10 +123,9 @@ def _trapz(values: np.ndarray, grid: np.ndarray) -> float:
     return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(grid)))
 
 
-def _inner_integral(f: Nonlinearity, k: int, tau: np.ndarray,
-                    head_nodes: int = 4097) -> np.ndarray:
+def _inner_integral(f: Nonlinearity, k: int, tau: np.ndarray) -> np.ndarray:
     """Cumulative quadrature of int_0^tau f^k on the given grid."""
-    head_grid = np.linspace(0.0, tau[0], head_nodes)
+    head_grid = np.linspace(0.0, tau[0], _HEAD_NODES)
     head = _trapz(f.pow_k(head_grid, k), head_grid)
     vals = f.pow_k(tau, k)
     inc = 0.5 * (vals[1:] + vals[:-1]) * np.diff(tau)
@@ -209,7 +210,7 @@ def existence_verdict(p: ProblemParams, f: Nonlinearity,
     divergence condition is necessary and sufficient.
     """
     mu0v = p.mu0()
-    if p.k >= 2 and p.mu < 0:
+    if not p.admissible_regime():
         return ExistenceReport(
             NOT_EXISTS, None,
             "k >= 2 with mu < 0: the augmented-Hessian spectrum leaves the "

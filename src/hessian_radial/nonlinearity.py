@@ -41,6 +41,9 @@ class Nonlinearity:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.family != "custom" and not math.isfinite(self.param):
+            raise ValueError(f"{self.family} family needs a finite "
+                             f"parameter, got {self.param}")
         if self.family == "const" and not self.param > 0:
             raise ValueError("const family needs c > 0")
         if self.family == "exp" and not self.param >= 0:
@@ -55,7 +58,10 @@ class Nonlinearity:
     def _default_label(self) -> str:
         if self.family == "custom":
             return "custom"
-        return f"{self.family}:{self.param:g}"
+        # short where that names the parameter exactly, else every digit
+        short = f"{self.param:g}"
+        return f"{self.family}:" + (
+            short if float(short) == self.param else repr(float(self.param)))
 
     @classmethod
     def constant(cls, c: float) -> "Nonlinearity":

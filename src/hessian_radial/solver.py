@@ -103,15 +103,18 @@ class RadialProfile:
                 raise ValueError(f"non-finite values in {name}")
 
     def cell_defects(self) -> np.ndarray:
-        return self.defect if self.defect is not None else per_cell_defect(self)
+        """The stored `defect`, else :func:`per_cell_defect`; empty for a
+        one-node profile, which has no cells."""
+        if self.defect is not None:
+            return self.defect
+        return per_cell_defect(self) if len(self.grid) >= 2 else np.zeros(0)
 
     def to_csv(self, fileobj) -> None:
         """Write columns r,phi,dphi,volterra,defect with 17 significant
         digits (byte-identical for identical profiles); the defect of the
         cell ending at node i is written on row i, 0.0 on row 0.  Rows go
         out _CSV_BLOCK_ROWS at a time, one formatted string per write."""
-        defects = np.concatenate(([0.0], self.cell_defects())) \
-            if len(self.grid) >= 2 else np.zeros(len(self.grid))
+        defects = np.concatenate(([0.0], self.cell_defects()))
         fileobj.write("r,phi,dphi,volterra,defect\n")
         columns = (self.grid, self.phi, self.dphi, self.volterra, defects)
         for start in range(0, len(self.grid), _CSV_BLOCK_ROWS):
@@ -133,7 +136,7 @@ class RadialProfile:
             "phi": self.phi.tolist(),
             "dphi": self.dphi.tolist(),
             "volterra": self.volterra.tolist(),
-            "defect": self.cell_defects().tolist() if len(self.grid) >= 2 else [],
+            "defect": self.cell_defects().tolist(),
         }
 
     def to_json(self, fileobj) -> None:
@@ -210,21 +213,19 @@ def _forward_pass(p: ProblemParams, f: Nonlinearity, grid: np.ndarray,
     return I, dphi
 
 
-def _require_sizes(**sizes: float) -> None:
-    for name, value in sizes.items():
+def _require_walk_sizes(n: int, r_name: str, r: float, h_name: str,
+                        h: float) -> None:
+    """Both sizes must be finite and > 0.  The cell quadrature takes
+    s^(n+1), so the radius must also keep that power a float:
+    r^(n+1) < DBL_MAX (r < 5.6e102 at n=2)."""
+    for name, value in ((r_name, r), (h_name, h)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-
-def _require_radius(n: int, **radii: float) -> None:
-    """The cell quadrature takes s^(n+1), so a finite radius must keep that
-    power a float: r^(n+1) < DBL_MAX (r < 5.6e102 at n=2)."""
-    for name, value in radii.items():
-        try:
-            float(value) ** (n + 1)
-        except OverflowError:
-            raise ValueError(f"{name}={value} is too large: {name}^(n+1) "
-                             f"overflows a float at n={n}") from None
+    try:
+        float(r) ** (n + 1)
+    except OverflowError:
+        raise ValueError(f"{r_name}={r} is too large: {r_name}^(n+1) "
+                         f"overflows a float at n={n}") from None
 
 
 def _require_solvable(p: ProblemParams, a: float, r_end: float,
@@ -235,8 +236,7 @@ def _require_solvable(p: ProblemParams, a: float, r_end: float,
             "solution on the whole space")
     if not math.isfinite(a):
         raise ValueError(f"initial value must be finite, got {a}")
-    _require_sizes(r_end=r_end, h=h)
-    _require_radius(p.n, r_end=r_end)
+    _require_walk_sizes(p.n, "r_end", r_end, "h", h)
     if not h <= r_end:
         raise ValueError(f"need 0 < h <= r_end, got h={h}")
 
@@ -309,10 +309,7 @@ def euler_break_line(p: ProblemParams, f: Nonlinearity, a: float,
     _require_solvable(p, a, r_end, h)
     columns, _ = _walk(p, f, a, r_end, h,
                        nodes=_uniform_grid(r_end, h).tolist())
-    profile = _profile_from_walk(p, f, *columns)
-    if len(profile.grid) >= 2:
-        profile = replace(profile, defect=per_cell_defect(profile))
-    return profile
+    return _profile_from_walk(p, f, *columns)
 
 
 def picard_solve(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
@@ -407,13 +404,12 @@ def detect_blowup(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
     estimate is Richardson-combined from runs at h0 and h0/2 (the walk is
     first-order), and the finer run's bracket is reported.
     """
-    _require_sizes(r_max=r_max, h0=h0)
-    _require_radius(p.n, r_max=r_max)
+    _require_walk_sizes(p.n, "r_max", r_max, "h0", h0)
     if not math.isfinite(a):
         raise ValueError(f"initial value must be finite, got {a}")
     if not phi_cap > a:
         raise ValueError(f"phi_cap={phi_cap} must exceed the initial value {a}")
-    if p.k >= 2 and p.mu < 0:
+    if not p.admissible_regime():
         return BlowupReport(ADMISSIBILITY_FAILURE, r_max, r_fail=-1.0 / p.mu)
     coarse = _blowup_walk(p, f, a, r_max, phi_cap, h0)
     if coarse.status != FINITE_BLOWUP:

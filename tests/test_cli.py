@@ -1,17 +1,28 @@
 """CLI commands, exit codes and deterministic outputs."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from hessian_radial.cli import main
+from hessian_radial.cli import _parse_f_grid, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_quiet_usage_error(capsys, *argv):
+    """Exit 64 with the usage message, no output and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("invalid configuration") and err.count("\n") == 1
 
 
 class TestMu0:
@@ -51,6 +62,16 @@ class TestSolve:
         assert diag["status"] == "finite_blowup"
         lo, hi = diag["bracket"]
         assert lo < diag["r_estimate"] <= hi
+
+    def test_bounded_non_convergence_exit_code(self, capsys):
+        # Picard exhausts max_iter just below R = sqrt(8), and the walk from
+        # h = 1e-2 finds no blow-up before r_end
+        code, out, err = run(capsys, "solve", "--n", "2", "--k", "1",
+                             "--mu", "0", "--f", "exp:1", "--a", "0",
+                             "--r-end", "2.82", "--h", "1e-2")
+        assert code == 1
+        assert out == ""
+        assert "did not converge although the solution stays bounded" in err
 
     def test_infinite_r_end_is_usage_error(self, capsys):
         code, _, err = run(capsys, "solve", "--n", "2", "--k", "1", "--mu", "0",
@@ -116,6 +137,11 @@ class TestKo:
         assert payload["ko"]["classification"] == "diverges"
         assert payload["existence"]["verdict"] == "exists"
 
+    @pytest.mark.parametrize("spec", ["const:inf", "exp:inf", "exp:nan",
+                                      "pow:inf"])
+    def test_non_finite_source_is_usage_error(self, capsys, spec):
+        assert_quiet_usage_error(capsys, "ko", "--k", "1", "--f", spec)
+
     def test_partial_regime_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "ko", "--k", "1", "--f", "const:1",
                          "--n", "2")
@@ -140,6 +166,19 @@ class TestVerify:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "r,pass,margin,gamma_k_ok"
         assert all(line.split(",")[1] == "1" for line in lines[1:])
+
+
+    @pytest.mark.parametrize("flag,value", [("--A", "inf"), ("--A", "nan"),
+                                            ("--alpha", "nan"),
+                                            ("--alpha", "inf"),
+                                            ("--r-max", "inf"),
+                                            ("--r-max", "nan")])
+    def test_non_finite_input_is_usage_error(self, capsys, flag, value):
+        argv = {"--A": "0.2887", "--alpha": "1", "--r-max": "10"}
+        argv[flag] = value
+        assert_quiet_usage_error(capsys, "verify", "--n", "3", "--k", "2",
+                                 "--mu", "0.1",
+                                 *(x for kv in argv.items() for x in kv))
 
 
 class TestSweep:
@@ -169,6 +208,19 @@ class TestSweep:
         assert run(capsys, *args, "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+
+    def test_family_grid_runs_the_values_it_names(self, tmp_path, capsys):
+        fs = _parse_f_grid("exp:0:1:4")
+        assert [f.param for f in fs] == np.linspace(0, 1, 4).tolist()
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--n", "2", "--k", "1",
+                         "--f", "exp:0:1:4", "--a", "0", "--mu", "0",
+                         "--r-max", "1", "--h", "1e-2", "--out", str(out))
+        assert code == 0
+        labels = [line.split(",")[3]
+                  for line in out.read_text().strip().splitlines()[1:]]
+        assert labels == ["exp:0", "exp:0.3333333333333333",
+                          "exp:0.6666666666666666", "exp:1"]
 
     def test_invalid_tuple_gets_an_error_row(self, tmp_path, capsys):
         # a = 1e8 and 2e8 reach phi_cap; the grid still runs to the end

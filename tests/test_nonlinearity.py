@@ -106,13 +106,16 @@ class TestParse:
         ("const:1", "const", 1.0),
         ("exp:0.5", "exp", 0.5),
         ("pow:2", "pow", 2.0),
+        ("exp:0.3333333333333333", "exp", 1 / 3),
     ])
     def test_round_trip(self, spec, family, param):
         f = parse_f_spec(spec)
         assert f.family == family and f.param == param
         assert f.label == spec
 
-    @pytest.mark.parametrize("spec", ["sin:1", "const", "exp:abc", "pow:1:2"])
+    @pytest.mark.parametrize("spec", ["sin:1", "const", "exp:abc", "pow:1:2",
+                                      "const:inf", "exp:inf", "exp:nan",
+                                      "pow:inf"])
     def test_rejects_malformed(self, spec):
         with pytest.raises(ValueError):
             parse_f_spec(spec)

@@ -1,11 +1,12 @@
 """Radial reduction: spectrum, S_k closed form, integrand, ODE residual."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hessian_radial import (Nonlinearity, ProblemParams, SingularityError,
@@ -13,6 +14,7 @@ from hessian_radial import (Nonlinearity, ProblemParams, SingularityError,
                             dphi_from_integral, elem_sym, ode_residual,
                             radial_spectrum, sk_radial, volterra_integrand)
 from hessian_radial.radial import _exp, _smooth_factor
+from hessian_radial.solver import _cell_increment, _cell_increments
 
 CONST1 = Nonlinearity.constant(1.0)
 
@@ -196,6 +198,36 @@ regimes = st.tuples(st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 4), (5, 3),
     lambda t: ProblemParams(*t[0], t[1] if t[0][1] == 1 else abs(t[1])))
 
 
+def radius_limit(n):
+    """Largest float r whose r^(n+1) is a float (the walks' radius limit)."""
+    def fits(r):
+        try:
+            return r ** (n + 1) < math.inf
+        except OverflowError:
+            return False
+
+    r = sys.float_info.max ** (1.0 / (n + 1))
+    while not fits(r):
+        r = math.nextafter(r, 0.0)
+    while fits(math.nextafter(r, math.inf)):
+        r = math.nextafter(r, math.inf)
+    return r
+
+
+@st.composite
+def quadrature_cells(draw):
+    """(n, s0, s1, G0, G1): a cell 0 <= s0 < s1 <= the radius limit, ends
+    at 0, near the limit or anywhere between, G finite or +inf."""
+    n = draw(st.integers(2, 12))
+    top = radius_limit(n)
+    ends = (st.just(0.0) | st.floats(0.0, 50.0) | st.floats(0.0, top)
+            | st.floats(top * (1 - 1e-3), top) | st.just(top))
+    s0, s1 = sorted((draw(ends), draw(ends)))
+    assume(s0 < s1)
+    G = st.just(0.0) | st.floats(0.0, 1e308) | st.just(math.inf)
+    return n, s0, s1, draw(G), draw(G)
+
+
 def float_path(fn, *args):
     """fn(*args) on floats, asserting that no RuntimeWarning escapes."""
     with warnings.catch_warnings(record=True) as caught:
@@ -246,6 +278,26 @@ class TestFloatPaths:
         def dphi(r_, I_):
             return dphi_from_integral(p, r_, I_)
         assert float_path(dphi, r, I) == array_path(dphi, r, I)
+
+    # Python's float ** int (the C library's pow) and numpy's array power
+    # differ in the last bit for some arguments on some hosts (e.g.
+    # 4.646173882695036 ** 11), so the property holds where the four powers
+    # agree; everything after the powers is pinned bit for bit
+    @given(quadrature_cells())
+    @example((3, 0.0, 1e-3, 1.0, 1.0))
+    @example((2, 0.0, radius_limit(2), 1.0, math.inf))
+    @example((12, radius_limit(12) * 0.5, radius_limit(12), math.inf, 0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_cell_increment(self, cell):
+        n, s0, s1, G0, G1 = cell
+        ends = np.array([s0, s1])
+        with np.errstate(over="ignore"):
+            assume(all(s ** m == (ends ** m)[i]
+                       for i, s in enumerate((s0, s1)) for m in (n, n + 1)))
+        x = float_path(_cell_increment, s0, s1, G0, G1, n)
+        y = float(_cell_increments(ends, np.array([G0, G1]), n)[0])
+        # 0 * inf is nan on both paths
+        assert x == y or (math.isnan(x) and math.isnan(y))
 
     def test_zero_integral_and_overflow(self):
         p = ProblemParams(3, 1, -0.5)

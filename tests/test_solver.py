@@ -406,6 +406,14 @@ class TestProfileSerialization:
         assert len(payload["r"]) == len(payload["phi"]) == 5
         assert len(payload["defect"]) == 4
 
+    def test_one_node_profile_has_no_defects(self):
+        prof = RadialProfile(*(np.zeros(1) for _ in range(4)),
+                             ProblemParams(2, 1, 0.0), CONST1)
+        assert prof.cell_defects().shape == (0,)
+        buf = io.StringIO()
+        prof.to_json(buf)
+        assert json.loads(buf.getvalue())["defect"] == []
+
     def test_validate_rejects_bad_columns(self):
         p = ProblemParams(2, 1, 0.0)
         bad = RadialProfile(np.array([0.0, 1.0]), np.array([0.0, -1.0]),
