@@ -24,7 +24,6 @@ from .nonlinearity import parse_f_spec
 from .radial import AdmissibilityError, ProblemParams
 from .solver import (FINITE_BLOWUP, SCHEMA_ID, NonConvergenceError,
                      _require_walk_sizes, detect_blowup, picard_solve)
-from .symmetric import mu_zero
 
 __all__ = ["main"]
 
@@ -197,7 +196,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mu0(args) -> int:
-    print(f"{mu_zero(args.n, args.k):.6g}")
+    print(f"{ProblemParams(args.n, args.k).mu0():.6g}")
     return EXIT_OK
 
 

@@ -102,19 +102,7 @@ class Nonlinearity:
         return float(out[0]) if scalar else out.reshape(np.shape(t))
 
     def log_eval(self, t):
-        """log f(t); -inf where f(t) = 0.  Raises if f(t) < 0.  A float
-        takes a plain-float path that matches the array path bit for bit."""
-        if isinstance(t, float):
-            if self.family == "const":
-                return float(np.log(self.param))
-            if self.family == "exp":
-                return self.param * t
-            if self.family == "pow":
-                return self.param * float(np.log(t)) if t > 0 else -math.inf
-            v = float(self.fn(float(t)))
-            if v < 0:
-                raise ValueError("custom nonlinearity takes negative values")
-            return float(np.log(v)) if v > 0 else -math.inf
+        """log f(t); -inf where f(t) = 0.  Raises if f(t) < 0."""
         scalar = np.ndim(t) == 0
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         if self.family == "const":
@@ -133,6 +121,26 @@ class Nonlinearity:
             mask = vals > 0
             out[mask] = np.log(vals[mask])
         return float(out[0]) if scalar else out.reshape(np.shape(t))
+
+    def _float_log(self) -> Callable[[float], float]:
+        """log f as a function of one float, for the break-line walk: the
+        scalar form of :meth:`log_eval`, equal to it bit for bit."""
+        q = self.param
+        if self.family == "const":
+            log_c = float(np.log(q))
+            return lambda t: log_c
+        if self.family == "exp":
+            return lambda t: q * t
+        if self.family == "pow":
+            return lambda t: q * float(np.log(t)) if t > 0 else -math.inf
+        fn = self.fn
+
+        def log_custom(t):
+            v = float(fn(float(t)))
+            if v < 0:
+                raise ValueError("custom nonlinearity takes negative values")
+            return float(np.log(v)) if v > 0 else -math.inf
+        return log_custom
 
     def pow_k(self, t, k: int):
         """f(t)^k via exp(k * log f(t)); exactly 0 where f vanishes."""

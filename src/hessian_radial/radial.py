@@ -9,7 +9,8 @@ turns the radial problem into a Volterra integral equation
                e^(n mu s) s^(n-1) (1+mu s)^(1-k) f(phi(s))^k ds )^(1/k)
 
 whose pieces live here.  All functions accept scalars or ndarrays where it
-matters for the solver hot path.
+matters for the solver; the break-line walk (solver._walk) inlines its own
+scalar form of G and phi', equal to these bit for bit.
 """
 
 import math
@@ -117,28 +118,15 @@ def chi(p: ProblemParams, r: float) -> float:
     return p.n * p.mu * r + (p.n - p.k) * math.log(r)
 
 
-def _exp(x: float) -> float:
-    """numpy's exp of a float (math.exp can differ from it in the last bit),
-    +inf without an overflow warning above log(DBL_MAX) = 709.782712893384."""
-    return math.inf if x > 709.782712893384 else float(np.exp(x))
-
-
 def _smooth_factor(p: ProblemParams, f, s, phi_s):
     """G(s) = (k/C(n-1,k-1)) e^(n mu s) (1+mu s)^(1-k) f(phi(s))^k.
 
     The s^(n-1) weight is deliberately excluded: the quadrature integrates it
     exactly, and G itself is smooth down to s = 0.  Computed in the log
     domain when the (1+mu s) factor is positive (always, in the admissible
-    regime) so overflow happens only where the true value overflows.  Float
-    arguments in that domain take a plain-float path for the break-line walk.
+    regime) so overflow happens only where the true value overflows.
     """
     logc = math.log(p.k) - math.log(binom(p.n - 1, p.k - 1))
-    if (isinstance(s, float) and isinstance(phi_s, float)
-            and (p.k == 1 or 1.0 + p.mu * s > 0.0)):
-        logG = logc + p.n * p.mu * s + p.k * f.log_eval(phi_s)
-        if p.k >= 2:
-            logG += (1.0 - p.k) * float(np.log(1.0 + p.mu * s))
-        return _exp(logG)
     s = np.asarray(s, dtype=float)
     phi_s = np.asarray(phi_s, dtype=float)
     base = 1.0 + p.mu * s
@@ -174,14 +162,9 @@ def volterra_integrand(p: ProblemParams, f, s, phi_s):
 def dphi_from_integral(p: ProblemParams, r, I):
     """phi'(r) = (r^(k-n) e^(-n mu r) I)^(1/k), evaluated in the log domain.
 
-    Accepts scalars or ndarrays (two floats take a plain-float path); I = 0
-    maps to exactly 0 and an overflowing accumulated integral propagates as
-    +inf for the blow-up detector.
+    Accepts scalars or ndarrays; I = 0 maps to exactly 0 and an overflowing
+    accumulated integral propagates as +inf for the blow-up detector.
     """
-    if isinstance(r, float) and isinstance(I, float) and r > 0.0 and I >= 0.0:
-        log_I = -math.inf if I == 0.0 else float(np.log(I))
-        return _exp(((p.k - p.n) * float(np.log(r)) - p.n * p.mu * r + log_I)
-                    / p.k)
     r_arr = np.asarray(r, dtype=float)
     I_arr = np.asarray(I, dtype=float)
     if np.any(r_arr <= 0.0):

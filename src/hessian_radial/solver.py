@@ -10,7 +10,9 @@ Two routes to the same fixed point:
 
 One walker, :func:`_walk`, carries the break line node by node in plain
 floats, on fixed nodes for :func:`euler_break_line` and with an adaptive
-step for :func:`detect_blowup`; Picard works on whole arrays.
+step for :func:`detect_blowup`; its step inlines the scalar form of the
+array layers that Picard runs on whole arrays, and agrees with them bit for
+bit wherever Python's and numpy's powers do.
 
 The Volterra accumulation uses a product-trapezoid rule: the integrand is
 split as s^(n-1) * G(s) with G smooth down to s = 0, G is interpolated
@@ -29,6 +31,7 @@ import numpy as np
 from .nonlinearity import Nonlinearity
 from .radial import (AdmissibilityError, ProblemParams, _smooth_factor,
                      dphi_from_integral)
+from .symmetric import binom
 
 __all__ = [
     "SCHEMA_ID", "RadialProfile", "BlowupReport", "NonConvergenceError",
@@ -46,6 +49,10 @@ ADMISSIBILITY_FAILURE = "admissibility_failure"
 # once would be ~10 MB for a 1e5-node profile
 _CSV_BLOCK_ROWS = 1024
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+
+# log(DBL_MAX): numpy's exp is finite up to here and overflows one ulp above,
+# where the walk returns +inf itself and so raises no overflow warning
+_LOG_DBL_MAX = 709.782712893384
 
 
 class NonConvergenceError(RuntimeError):
@@ -180,7 +187,10 @@ def _uniform_grid(r_end: float, h: float) -> np.ndarray:
 
 
 def _cell_increment(s0: float, s1: float, G0: float, G1: float, n: int) -> float:
-    """Integral over [s0, s1] of s^(n-1) times the linear interpolant of G."""
+    """Integral over [s0, s1] of s^(n-1) times the linear interpolant of G.
+
+    The scalar reference of the quadrature that :func:`_walk` inlines; the
+    walk's volterra column is pinned to it in the tests."""
     h = s1 - s0
     P = (s1 ** n - s0 ** n) / n
     Q = (s1 ** (n + 1) - s0 ** (n + 1)) / (n + 1)
@@ -248,11 +258,27 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     otherwise it steps by h, halving it while the predicted increment exceeds
     max(1, 0.01 * phi_cap), and ends at blow-up: phi above phi_cap or a step
     below h * 2^-40.  Returns the columns (r, phi, dphi, I) and the blow-up
-    bracket, None if r_end was reached."""
+    bracket, None if r_end was reached.
+
+    The step inlines the scalar forms of :func:`_smooth_factor` (log domain:
+    the walk runs only where 1 + mu s > 0 or k = 1), :func:`_cell_increment`
+    (the left end's powers carried over) and :func:`dphi_from_integral`, in
+    their evaluation order and with numpy's exp and log (math's differ in
+    the last bit on some hosts), so the columns agree with those layers bit
+    for bit.  G at the origin comes from the array layer itself.
+    """
+    n, k, mu = p.n, p.k, p.mu
+    n_mu, k_n, one_k, n1 = n * mu, k - n, 1.0 - k, n + 1
+    # (1 - k) log(1 + mu s) is +-0.0 at mu = 0, so skipping it there is exact
+    bent = k >= 2 and mu != 0.0
+    logc = math.log(k) - math.log(binom(n - 1, k - 1))
+    log_f = f._float_log()
+    exp, log, isfinite, inf = np.exp, np.log, math.isfinite, math.inf
     step_cap = max(1.0, 0.01 * phi_cap)
     h_min = h * 2.0 ** -40
     r, phi, dphi, I = 0.0, float(a), 0.0, 0.0
-    G = _smooth_factor(p, f, r, phi)
+    G = float(_smooth_factor(p, f, r, phi))
+    r_n, r_n1 = 0.0, 0.0  # r^n and r^(n+1) at the left end of the cell
     rs, phis, dphis, Is = [r], [phi], [dphi], [I]
     bracket = None
     # sizes given as numpy scalars make the arithmetic numpy's, and overflow
@@ -260,15 +286,14 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     with np.errstate(over="ignore", invalid="ignore"):
         while r_end - r > 1e-12 * r_end:
             if nodes is not None:
-                if not dphi < math.inf:
+                if not dphi < inf:
                     break
                 r_new = nodes[len(rs)]
                 step = r_new - r
             else:
                 h_entry = h
                 step = min(h, r_end - r)
-                while not (math.isfinite(dphi * step)
-                           and dphi * step <= step_cap):
+                while not (isfinite(dphi * step) and dphi * step <= step_cap):
                     h /= 2.0
                     step = min(h, r_end - r)
                     if h < h_min:
@@ -279,11 +304,27 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                     break
                 r_new = r + step
             phi += dphi * step
-            G_new = _smooth_factor(p, f, r_new, phi) \
-                if math.isfinite(phi) else math.inf
-            I += _cell_increment(r, r_new, G, G_new, p.n)
-            dphi = dphi_from_integral(p, r_new, I) \
-                if 0.0 <= I < math.inf else math.inf
+            if isfinite(phi):
+                logG = logc + n_mu * r_new + k * log_f(phi)
+                if bent:
+                    logG += one_k * float(log(1.0 + mu * r_new))
+                G_new = inf if logG > _LOG_DBL_MAX else float(exp(logG))
+            else:
+                G_new = inf
+            width = r_new - r
+            r_n_new, r_n1_new = r_new ** n, r_new ** n1
+            P = (r_n_new - r_n) / n
+            Q = (r_n1_new - r_n1) / n1
+            A = (r_new * P - Q) / width
+            B = (Q - r * P) / width
+            # max(x, 0.0) as a test: keeps nan and -0.0 as max does
+            I += (0.0 if A < 0.0 else A) * G + (0.0 if B < 0.0 else B) * G_new
+            if 0.0 <= I < inf:
+                log_I = -inf if I == 0.0 else float(log(I))
+                x = (k_n * float(log(r_new)) - n_mu * r_new + log_I) / k
+                dphi = inf if x > _LOG_DBL_MAX else float(exp(x))
+            else:
+                dphi = inf
             rs.append(r_new)
             phis.append(phi)
             dphis.append(dphi)
@@ -291,7 +332,7 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
             if phi > phi_cap:
                 bracket = (r, r_new)
                 break
-            r, G = r_new, G_new
+            r, G, r_n, r_n1 = r_new, G_new, r_n_new, r_n1_new
     return (rs, phis, dphis, Is), bracket
 
 
@@ -320,11 +361,14 @@ def picard_solve(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     The iteration starts from phi == a and is monotone increasing for
     monotone f, so plain undamped iteration converges whenever the solution
     exists on [0, r_end]; convergence is declared when the maximum node
-    change drops below `tol`.
+    change drops below `tol`, which must be finite and > 0 (an infinite one
+    would accept the first iterate), after at most `max_iter` >= 1 sweeps.
     """
     _require_solvable(p, a, r_end, h)
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     grid = _uniform_grid(r_end, h)
     hcells = np.diff(grid)
     phi = np.full(len(grid), float(a))

@@ -31,6 +31,13 @@ class TestMu0:
         assert code == 0
         assert out.strip() == "0.353553"
 
+    def test_dimension_below_two_is_usage_error(self, capsys):
+        # it used to print 0.707107 and exit 0
+        code, out, err = run(capsys, "mu0", "--n", "1", "--k", "1")
+        assert code == 64
+        assert out == ""
+        assert "need n >= 2" in err
+
 
 class TestSolve:
     def test_constant_source_csv(self, tmp_path, capsys):
@@ -78,6 +85,18 @@ class TestSolve:
                            "--f", "const:1", "--a", "0", "--r-end", "inf")
         assert code == 64
         assert "invalid configuration" in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_degenerate_tol_is_usage_error(self, tmp_path, capsys, tol):
+        # --tol inf used to write the first Picard iterate, phi = 1.0 at
+        # r = 2, as converged (the solution has phi(2) = ln 4)
+        out = tmp_path / "profile.csv"
+        code, _, err = run(capsys, "solve", "--n", "2", "--k", "1", "--mu", "0",
+                           "--f", "exp:1", "--a", "0", "--r-end", "2",
+                           "--h", "1e-3", "--tol", tol, "--out", str(out))
+        assert code == 64
+        assert "tol must be finite and > 0" in err
+        assert not out.exists()
 
     def test_radius_whose_power_overflows_is_usage_error(self, capsys):
         # Picard overflows first and the blow-up fallback used to raise
@@ -200,7 +219,7 @@ class TestSweep:
             estimates = [float(r[6]) for r in rows if float(r[2]) == mu]
             assert all(b <= a + 1e-12 for a, b in zip(estimates, estimates[1:]))
 
-    def test_deterministic_despite_concurrency(self, tmp_path, capsys):
+    def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ("sweep", "--n", "2", "--k", "1", "--f", "exp:1",
                 "--a", "0:1:3", "--mu", "0:0.2:2", "--h", "5e-3")
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"

@@ -45,3 +45,25 @@ def test_tracer_wraps_every_target_and_restores_it():
         assert resolve(name) is original, name
     assert snapshot() == before
     assert hessian_radial.cli._COMMANDS == commands
+
+
+def test_tracer_records_the_walks_and_their_steps():
+    # the walk inlines its step, so these spans are what is left of the
+    # per-layer walk metrics: one span per walk, work = steps taken
+    spans = load_spans()
+    p = hessian_radial.ProblemParams(3, 2, 0.0)
+    f = hessian_radial.Nonlinearity.constant(1.0)
+    solver = hessian_radial.solver
+    with spans.Tracer() as tracer:
+        prof = solver.euler_break_line(p, f, 1.0, 2.0, 1e-2)
+        rep = solver.detect_blowup(p, f, 1.0, r_max=3.0, h0=1e-2)
+    metrics = {name: value for name, (value, _) in
+               tracer.layer_metrics().items()}
+    assert rep.status == "global"
+    assert metrics["solver.euler_break_line.calls"] == 1
+    assert metrics["solver.euler_break_line.steps"] == len(prof.grid) - 1
+    assert metrics["solver._blowup_walk.calls"] == 1
+    assert metrics["solver._blowup_walk.steps"] == len(rep.profile.grid) - 1
+    assert metrics["solver.detect_blowup.walks_per_call"] == 1
+    assert metrics["solver.euler_break_line.steps_per_s"] > 0
+    assert metrics["solver._blowup_walk.steps_per_s"] > 0

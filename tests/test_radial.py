@@ -13,8 +13,10 @@ from hessian_radial import (Nonlinearity, ProblemParams, SingularityError,
                             binom, chi, ddphi_at_zero, ddphi_from_ode,
                             dphi_from_integral, elem_sym, ode_residual,
                             radial_spectrum, sk_radial, volterra_integrand)
-from hessian_radial.radial import _exp, _smooth_factor
-from hessian_radial.solver import _cell_increment, _cell_increments
+from hessian_radial.radial import _smooth_factor
+from hessian_radial.solver import (_LOG_DBL_MAX, FINITE_BLOWUP,
+                                   _cell_increment, _cell_increments,
+                                   detect_blowup, euler_break_line)
 
 CONST1 = Nonlinearity.constant(1.0)
 
@@ -244,9 +246,38 @@ def array_path(fn, *args):
         return fn(*(np.array([x, 1.0]) for x in args))[0]
 
 
+def adaptive_steps(r, dphi, h0, r_max, step_cap=1e6):
+    """The steps of detect_blowup's walk (phi_cap 1e8), replayed from its
+    columns: h0, halved while the predicted increment dphi * step is not
+    finite or exceeds step_cap, and never more than the rest to r_max."""
+    steps, h = [], h0
+    for r0, slope in zip(r[:-1], dphi[:-1]):
+        step = min(h, r_max - r0)
+        while not (math.isfinite(slope * step) and slope * step <= step_cap):
+            h /= 2.0
+            step = min(h, r_max - r0)
+        steps.append(step)
+    return steps
+
+
+def walk_case(p, family, a, r_end, m, adaptive):
+    """(profile, the steps the walk took) of euler_break_line on [0, r_end]
+    at h = r_end / m, or of detect_blowup up to r_end from h0 = h."""
+    f, h = SOURCES[family], r_end / m
+    if not adaptive:
+        prof = euler_break_line(p, f, a, r_end, h)
+        return prof, np.diff(prof.grid).tolist()
+    rep = detect_blowup(p, f, a, r_max=r_end, h0=h)
+    if rep.status == FINITE_BLOWUP and not rep.notes:
+        h /= 2.0  # the profile of the refined walk
+    prof = rep.profile
+    return prof, adaptive_steps(prof.grid.tolist(), prof.dphi.tolist(), h,
+                                r_end)
+
+
 class TestFloatPaths:
-    """The plain-float paths the walk takes equal the array paths Picard
-    takes bit for bit (==, never approx)."""
+    """The break-line walk's inlined float step equals the array layers that
+    Picard uses bit for bit (==, never approx)."""
 
     # the examples are arguments where math.log differs from numpy's log in
     # the last bit, by enough to change the result
@@ -257,27 +288,36 @@ class TestFloatPaths:
     @settings(max_examples=300, deadline=None)
     def test_log_eval(self, family, t):
         f = SOURCES[family]
-        assert float_path(f.log_eval, t) == array_path(f.log_eval, t)
+        assert float_path(f._float_log(), t) == array_path(f.log_eval, t)
 
+    # G from the array layer on the walk's own columns.  The adaptive walk
+    # moves phi by its step, which can differ from the rounded node spacing
+    # r[i+1] - r[i], so phi is checked against the replayed step.
     @given(regimes, st.sampled_from(sorted(SOURCES)),
-           st.floats(min_value=0, max_value=50),
-           st.floats(min_value=-800, max_value=800))
-    @example(ProblemParams(3, 2, 0.06772768657360495), "const", 40.0, 0.0)
-    @settings(max_examples=300, deadline=None)
-    def test_smooth_factor(self, p, family, s, phi):
-        def G(s_, phi_):
-            return _smooth_factor(p, SOURCES[family], s_, phi_)
-        assert float_path(G, s, phi) == array_path(G, s, phi)
-
-    @given(regimes, st.floats(min_value=1e-6, max_value=50),
-           st.one_of(st.just(0.0), st.floats(min_value=0, max_value=1e308)))
-    @example(ProblemParams(6, 1, 0.0), 11.002803349408834, 1.0)
-    @example(ProblemParams(2, 1, 0.0), 1.0, 19.27275429690081)
-    @settings(max_examples=300, deadline=None)
-    def test_dphi_from_integral(self, p, r, I):
-        def dphi(r_, I_):
-            return dphi_from_integral(p, r_, I_)
-        assert float_path(dphi, r, I) == array_path(dphi, r, I)
+           st.floats(min_value=-2, max_value=2),
+           st.floats(min_value=0.05, max_value=5), st.integers(1, 200),
+           st.booleans())
+    @example(ProblemParams(3, 2, 0.2), "const", 0.5, 3.0, 300, True)
+    @example(ProblemParams(2, 1, -0.3), "exp", 0.5, 3.0, 100, True)
+    # halving to cells 1e-14 of their radius wide, where the weights cancel
+    # below zero and are clamped
+    @example(ProblemParams(4, 4, 0.0), "pow", 1.0, 5.0, 100, True)
+    @example(ProblemParams(4, 4, 0.0), "pow", 0.5, 3.0, 60, True)
+    @settings(max_examples=200, deadline=None)
+    def test_walk_matches_array_layers(self, p, family, a, r_end, m,
+                                       adaptive):
+        prof, steps = walk_case(p, family, a, r_end, m, adaptive)
+        r, phi, dphi, I = (col.tolist() for col in
+                           (prof.grid, prof.phi, prof.dphi, prof.volterra))
+        G = _smooth_factor(p, prof.f, prof.grid, prof.phi).tolist()
+        for i in range(len(r) - 1):
+            assert r[i] + steps[i] == r[i + 1]
+            assert phi[i + 1] == phi[i] + dphi[i] * steps[i]
+            assert I[i + 1] == I[i] + _cell_increment(r[i], r[i + 1], G[i],
+                                                      G[i + 1], p.n)
+        assert np.array_equal(
+            prof.dphi[1:], dphi_from_integral(p, prof.grid[1:],
+                                              prof.volterra[1:]))
 
     # Python's float ** int (the C library's pow) and numpy's array power
     # differ in the last bit for some arguments on some hosts (e.g.
@@ -301,16 +341,16 @@ class TestFloatPaths:
 
     def test_zero_integral_and_overflow(self):
         p = ProblemParams(3, 1, -0.5)
-        assert float_path(dphi_from_integral, p, 2.0, 0.0) == 0.0
-        assert float_path(dphi_from_integral, p, 1e-6, 1e308) == math.inf
-        assert float_path(_smooth_factor, p, SOURCES["exp"], 0.5,
-                          1000.0) == math.inf
-        # numpy's exp is finite at log(DBL_MAX) and overflows one ulp above
-        edge = 709.782712893384
-        for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 800.0)):
-            assert float_path(_exp, float(x)) == array_path(np.exp, x)
-        assert _exp(edge) < math.inf
-        assert _exp(float(np.nextafter(edge, 800.0))) == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dphi_from_integral(p, 2.0, 0.0) == 0.0
+            assert dphi_from_integral(p, 1e-6, 1e308) == math.inf
+            assert _smooth_factor(p, SOURCES["exp"], 0.5, 1000.0) == math.inf
+        # numpy's exp is finite at the walk's threshold, log(DBL_MAX), and
+        # overflows one ulp above, where the walk returns +inf itself
+        with np.errstate(over="ignore"):
+            assert np.exp(_LOG_DBL_MAX) < math.inf
+            assert np.exp(np.nextafter(_LOG_DBL_MAX, 800.0)) == math.inf
 
 
 class TestOdeResidual:

@@ -186,6 +186,23 @@ class TestPicard:
         with pytest.raises(ValueError, match="overflows"):
             picard_solve(ProblemParams(2, 1, 0.0), CONST1, 0.0, 1e200, 1e199)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_degenerate_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            picard_solve(ProblemParams(2, 1, 0.0), EXP1, 0.0, 2.0, 1e-3,
+                         tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            picard_solve(ProblemParams(2, 1, 0.0), EXP1, 0.0, 2.0, 1e-3,
+                         max_iter=max_iter)
+
+    def test_liouville_value_at_default_tol(self):
+        # phi = -2 log(1 - r^2/8) for n=2, k=1, mu=0, exp:1, a=0: ln 4 at 2
+        prof = picard_solve(ProblemParams(2, 1, 0.0), EXP1, 0.0, 2.0, 1e-3)
+        assert prof.phi[-1] == pytest.approx(math.log(4.0), rel=1e-5)
+
     def test_rejects_inadmissible_regime(self):
         with pytest.raises(AdmissibilityError):
             picard_solve(ProblemParams(3, 2, -0.1), CONST1, 0.0, 1.0, 0.1)
