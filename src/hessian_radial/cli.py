@@ -3,11 +3,11 @@
 Exit codes: 0 ok, 1 `solve` found no fixed point although the blow-up walk
 stays bounded up to r_end, 2 admissibility rejection, 3 blow-up before r_end,
 4 inconclusive classification, 10 I/O failure, 64 usage error (including
-non-finite numbers where a finite one is needed).  A radius
-(--r-end, --r-max) must keep r^(n+1) below the largest float.  A sweep
-tuple that is rejected gets an `error` row and the sweep exits 64 after
-writing every row.  Outputs are deterministic: CSV floats carry 17
-significant digits and sweep rows are sorted by parameter tuple.
+non-finite numbers where a finite one is needed).  A radius (--r-end,
+--r-max) must keep r^(n+1) below the largest float, a bound that keeps the
+cell weights finite.  A rejected sweep tuple gets an `error` row and the
+sweep exits 64 after writing every row.  Outputs are deterministic: CSV
+floats carry 17 significant digits; sweep rows are sorted by parameter tuple.
 """
 
 import argparse

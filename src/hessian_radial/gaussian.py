@@ -142,13 +142,15 @@ def verify_subsolution(p: ProblemParams, A: float, alpha: float, radii,
 
     alpha <= 1 is the range with a guarantee at and above the threshold;
     other alpha are accepted and verified empirically.  The inequality is
-    accepted up to a relative slack `rel_tol` (exact-threshold candidates sit
-    on equality, where roundoff has either sign).  Failures are data: they
-    are reported per radius, never raised.
+    accepted up to a finite relative slack `rel_tol` >= 0 (exact-threshold
+    candidates sit on equality, where roundoff has either sign).  Failures
+    are data: they are reported per radius, never raised.
     """
     GaussianCandidate(A)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
+    if not 0.0 <= rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     checks = []
     first_failure = None
     for r in np.asarray(radii, dtype=float):

@@ -137,13 +137,15 @@ def ko_classify_numeric(f: Nonlinearity, k: int, tau_lo: float = 1.0,
                         margin: float = DEFAULT_MARGIN) -> KOVerdict:
     """Quadrature-based classification on a geometric tau grid.
 
-    Fits log g against log tau over the top decade to estimate the tail
-    exponent p of g(tau) = (int_0^tau f^k)^(-1/(k+1)); p below 1 - margin
-    means divergence, p above 1 + margin (or detected exponential decay)
-    means convergence, anything inside the band is inconclusive.
+    Fits log g against log tau on the top decade of [tau_lo, tau_hi] (finite)
+    for the tail exponent p of g(tau) = (int_0^tau f^k)^(-1/(k+1)); p below
+    1 - margin (0 <= margin < 1) means divergence, p above 1 + margin (or
+    exponential decay) convergence, anything inside the band inconclusive.
     """
-    if not (0 < tau_lo < tau_hi):
-        raise ValueError("need 0 < tau_lo < tau_hi")
+    if not 0 < tau_lo < tau_hi < np.inf:
+        raise ValueError("need finite 0 < tau_lo < tau_hi")
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"need 0 <= margin < 1, got margin={margin}")
     if nodes < 100:
         raise ValueError(f"need at least 100 nodes, got {nodes}")
     if k < 1:

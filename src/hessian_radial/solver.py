@@ -11,8 +11,7 @@ Two routes to the same fixed point:
 One walker, :func:`_walk`, carries the break line node by node in plain
 floats, on fixed nodes for :func:`euler_break_line` and with an adaptive
 step for :func:`detect_blowup`; its step inlines the scalar form of the
-array layers that Picard runs on whole arrays, and agrees with them bit for
-bit wherever Python's and numpy's powers do.
+array layers that Picard runs on whole arrays, equal to them bit for bit.
 
 The Volterra accumulation uses a product-trapezoid rule: the integrand is
 split as s^(n-1) * G(s) with G smooth down to s = 0, G is interpolated
@@ -186,25 +185,29 @@ def _uniform_grid(r_end: float, h: float) -> np.ndarray:
     return np.linspace(0.0, r_end, m + 1)
 
 
-def _cell_increment(s0: float, s1: float, G0: float, G1: float, n: int) -> float:
-    """Integral over [s0, s1] of s^(n-1) times the linear interpolant of G.
+def _cell_weights(s0, s1, n: int):
+    """Weights (A, B) of the cell [s0, s1], h = s1 - s0: the integrals of
+    s^(n-1) (s1 - s) / h and s^(n-1) (s - s0) / h, as h / (n (n+1)) times
+    sum_{i<n} (n-i, i+1) s0^(n-1-i) s1^i in one Horner loop in s0.  Terms
+    >= 0 and only + and *: no cancellation, floats and arrays bit-equal."""
+    A, B, t = 0, 0, 1
+    for i in range(n):
+        A = A * s0 + (n - i) * t
+        B = B * s0 + (i + 1) * t
+        t = t * s1
+    c = (s1 - s0) / (n * (n + 1))
+    return c * A, c * B
 
-    The scalar reference of the quadrature that :func:`_walk` inlines; the
-    walk's volterra column is pinned to it in the tests."""
-    h = s1 - s0
-    P = (s1 ** n - s0 ** n) / n
-    Q = (s1 ** (n + 1) - s0 ** (n + 1)) / (n + 1)
-    A = max((s1 * P - Q) / h, 0.0)
-    B = max((Q - s0 * P) / h, 0.0)
+
+def _cell_increment(s0: float, s1: float, G0: float, G1: float, n: int) -> float:
+    """Integral over [s0, s1] of s^(n-1) times the linear interpolant of G:
+    the tests' scalar reference for the walk's inlined quadrature."""
+    A, B = _cell_weights(s0, s1, n)
     return A * G0 + B * G1
 
 
 def _cell_increments(grid: np.ndarray, G: np.ndarray, n: int) -> np.ndarray:
-    h = np.diff(grid)
-    P = np.diff(grid ** n) / n
-    Q = np.diff(grid ** (n + 1)) / (n + 1)
-    A = np.maximum((grid[1:] * P - Q) / h, 0.0)
-    B = np.maximum((Q - grid[:-1] * P) / h, 0.0)
+    A, B = _cell_weights(grid[:-1], grid[1:], n)
     with np.errstate(over="ignore", invalid="ignore"):
         return A * G[:-1] + B * G[1:]
 
@@ -225,9 +228,9 @@ def _forward_pass(p: ProblemParams, f: Nonlinearity, grid: np.ndarray,
 
 def _require_walk_sizes(n: int, r_name: str, r: float, h_name: str,
                         h: float) -> None:
-    """Both sizes must be finite and > 0.  The cell quadrature takes
-    s^(n+1), so the radius must also keep that power a float:
-    r^(n+1) < DBL_MAX (r < 5.6e102 at n=2)."""
+    """Both sizes must be finite and > 0, and the radius must keep
+    r^(n+1) < DBL_MAX (r < 5.6e102 at n=2): a sufficient bound under which
+    every term of the cell weights, at most about r^n, stays finite."""
     for name, value in ((r_name, r), (h_name, h)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
@@ -257,18 +260,19 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     it visits exactly those radii and ends after the first non-finite node;
     otherwise it steps by h, halving it while the predicted increment exceeds
     max(1, 0.01 * phi_cap), and ends at blow-up: phi above phi_cap or a step
-    below h * 2^-40.  Returns the columns (r, phi, dphi, I) and the blow-up
-    bracket, None if r_end was reached.
+    below h * 2^-40; phi moves by dphi times the node spacing.  Returns the
+    columns (r, phi, dphi, I) and the blow-up bracket, None at r_end.
 
     The step inlines the scalar forms of :func:`_smooth_factor` (log domain:
-    the walk runs only where 1 + mu s > 0 or k = 1), :func:`_cell_increment`
-    (the left end's powers carried over) and :func:`dphi_from_integral`, in
-    their evaluation order and with numpy's exp and log (math's differ in
-    the last bit on some hosts), so the columns agree with those layers bit
-    for bit.  G at the origin comes from the array layer itself.
+    the walk runs only where 1 + mu s > 0 or k = 1), :func:`_cell_weights`
+    (coefficients bound once) and :func:`dphi_from_integral`, in their
+    evaluation order and with numpy's exp and log (math's differ in the last
+    bit on some hosts), so the columns agree with those layers bit for bit.
+    G at the origin comes from the array layer itself.
     """
     n, k, mu = p.n, p.k, p.mu
-    n_mu, k_n, one_k, n1 = n * mu, k - n, 1.0 - k, n + 1
+    n_mu, k_n, one_k, nn1 = n * mu, k - n, 1.0 - k, n * (n + 1)
+    coefs = [(float(n - i), float(i + 1)) for i in range(n)]
     # (1 - k) log(1 + mu s) is +-0.0 at mu = 0, so skipping it there is exact
     bent = k >= 2 and mu != 0.0
     logc = math.log(k) - math.log(binom(n - 1, k - 1))
@@ -278,7 +282,6 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     h_min = h * 2.0 ** -40
     r, phi, dphi, I = 0.0, float(a), 0.0, 0.0
     G = float(_smooth_factor(p, f, r, phi))
-    r_n, r_n1 = 0.0, 0.0  # r^n and r^(n+1) at the left end of the cell
     rs, phis, dphis, Is = [r], [phi], [dphi], [I]
     bracket = None
     # sizes given as numpy scalars make the arithmetic numpy's, and overflow
@@ -289,7 +292,6 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                 if not dphi < inf:
                     break
                 r_new = nodes[len(rs)]
-                step = r_new - r
             else:
                 h_entry = h
                 step = min(h, r_end - r)
@@ -303,7 +305,8 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                     bracket = (r, r + h_entry)
                     break
                 r_new = r + step
-            phi += dphi * step
+            width = r_new - r
+            phi += dphi * width
             if isfinite(phi):
                 logG = logc + n_mu * r_new + k * log_f(phi)
                 if bent:
@@ -311,14 +314,13 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                 G_new = inf if logG > _LOG_DBL_MAX else float(exp(logG))
             else:
                 G_new = inf
-            width = r_new - r
-            r_n_new, r_n1_new = r_new ** n, r_new ** n1
-            P = (r_n_new - r_n) / n
-            Q = (r_n1_new - r_n1) / n1
-            A = (r_new * P - Q) / width
-            B = (Q - r * P) / width
-            # max(x, 0.0) as a test: keeps nan and -0.0 as max does
-            I += (0.0 if A < 0.0 else A) * G + (0.0 if B < 0.0 else B) * G_new
+            A, B, t = 0.0, 0.0, 1.0
+            for ca, cb in coefs:
+                A = A * r + ca * t
+                B = B * r + cb * t
+                t *= r_new
+            c = width / nn1
+            I += c * A * G + c * B * G_new
             if 0.0 <= I < inf:
                 log_I = -inf if I == 0.0 else float(log(I))
                 x = (k_n * float(log(r_new)) - n_mu * r_new + log_I) / k
@@ -332,7 +334,7 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
             if phi > phi_cap:
                 bracket = (r, r_new)
                 break
-            r, G, r_n, r_n1 = r_new, G_new, r_n_new, r_n1_new
+            r, G = r_new, G_new
     return (rs, phis, dphis, Is), bracket
 
 
@@ -429,11 +431,10 @@ def _blowup_walk(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
 def _profile_from_walk(p, f, rs, phis, dphis, Is) -> RadialProfile:
     arrs = tuple(np.asarray(col, dtype=float) for col in (rs, phis, dphis, Is))
     finite = np.all([np.isfinite(c) for c in arrs], axis=0)
-    last = int(np.argmin(finite)) - 1 if not finite.all() else len(rs) - 1
-    truncated_at = float(rs[last + 1]) if last + 1 < len(rs) else None
-    sl = slice(0, last + 1)
-    profile = RadialProfile(arrs[0][sl], arrs[1][sl], arrs[2][sl],
-                            arrs[3][sl], p, f, truncated_at=truncated_at)
+    end = len(rs) if finite.all() else int(np.argmin(finite))
+    truncated_at = float(rs[end]) if end < len(rs) else None
+    profile = RadialProfile(*(c[:end] for c in arrs), p, f,
+                            truncated_at=truncated_at)
     profile.validate()
     return profile
 

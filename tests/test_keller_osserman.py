@@ -1,5 +1,7 @@
 """Growth-integral classification and existence verdicts."""
 
+import math
+
 import pytest
 
 from hessian_radial import (CONVERGES, DIVERGES, EXISTS, INCONCLUSIVE,
@@ -114,6 +116,25 @@ class TestNumeric:
             ko_classify_numeric(f, 1, 10.0, 1.0)
         with pytest.raises(ValueError):
             ko_classify_numeric(f, 1, 1.0, 1e4, nodes=50)
+
+    # margin=-1 called the convergent tail of (1+t)^2 (exponent 1.5)
+    # divergent
+    @pytest.mark.parametrize("margin", [-1.0, 1.0, math.inf, math.nan])
+    def test_margin_must_lie_in_unit_interval(self, margin):
+        f = Nonlinearity.custom(lambda t: (1.0 + t) ** 2)
+        with pytest.raises(ValueError, match="margin"):
+            ko_classify_numeric(f, 1, margin=margin)
+
+    @pytest.mark.parametrize("tau_lo", [math.inf, math.nan, 0.0])
+    def test_tau_lo_must_be_finite_and_positive(self, tau_lo):
+        with pytest.raises(ValueError, match="tau_lo"):
+            ko_classify_numeric(Nonlinearity.constant(1.0), 1, tau_lo=tau_lo)
+
+    # tau_hi=inf escaped as a RuntimeWarning from geomspace
+    @pytest.mark.parametrize("tau_hi", [math.inf, math.nan])
+    def test_tau_hi_must_be_finite(self, tau_hi):
+        with pytest.raises(ValueError, match="tau_hi"):
+            ko_classify_numeric(Nonlinearity.constant(1.0), 1, tau_hi=tau_hi)
 
 
 class TestExistenceVerdict:

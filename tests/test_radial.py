@@ -16,6 +16,7 @@ from hessian_radial import (Nonlinearity, ProblemParams, SingularityError,
 from hessian_radial.radial import _smooth_factor
 from hessian_radial.solver import (_LOG_DBL_MAX, FINITE_BLOWUP,
                                    _cell_increment, _cell_increments,
+                                   _cell_weights, _forward_pass,
                                    detect_blowup, euler_break_line)
 
 CONST1 = Nonlinearity.constant(1.0)
@@ -290,17 +291,17 @@ class TestFloatPaths:
         f = SOURCES[family]
         assert float_path(f._float_log(), t) == array_path(f.log_eval, t)
 
-    # G from the array layer on the walk's own columns.  The adaptive walk
-    # moves phi by its step, which can differ from the rounded node spacing
-    # r[i+1] - r[i], so phi is checked against the replayed step.
+    # G from the array layer on the walk's own columns.  The adaptive walk's
+    # nodes are checked against its replayed steps, and phi moves by the
+    # node spacing r[i+1] - r[i], which can differ from the step by rounding.
     @given(regimes, st.sampled_from(sorted(SOURCES)),
            st.floats(min_value=-2, max_value=2),
            st.floats(min_value=0.05, max_value=5), st.integers(1, 200),
            st.booleans())
     @example(ProblemParams(3, 2, 0.2), "const", 0.5, 3.0, 300, True)
     @example(ProblemParams(2, 1, -0.3), "exp", 0.5, 3.0, 100, True)
-    # halving to cells 1e-14 of their radius wide, where the weights cancel
-    # below zero and are clamped
+    # halving to cells 1e-14 of their radius wide, where weights formed as
+    # differences of s^n and s^(n+1) would cancel to nothing
     @example(ProblemParams(4, 4, 0.0), "pow", 1.0, 5.0, 100, True)
     @example(ProblemParams(4, 4, 0.0), "pow", 0.5, 3.0, 60, True)
     @settings(max_examples=200, deadline=None)
@@ -312,18 +313,20 @@ class TestFloatPaths:
         G = _smooth_factor(p, prof.f, prof.grid, prof.phi).tolist()
         for i in range(len(r) - 1):
             assert r[i] + steps[i] == r[i + 1]
-            assert phi[i + 1] == phi[i] + dphi[i] * steps[i]
+            assert phi[i + 1] == phi[i] + dphi[i] * (r[i + 1] - r[i])
             assert I[i + 1] == I[i] + _cell_increment(r[i], r[i + 1], G[i],
                                                       G[i + 1], p.n)
         assert np.array_equal(
             prof.dphi[1:], dphi_from_integral(p, prof.grid[1:],
                                               prof.volterra[1:]))
+        assert np.array_equal(
+            prof.volterra, _forward_pass(p, prof.f, prof.grid, prof.phi)[0])
 
-    # Python's float ** int (the C library's pow) and numpy's array power
-    # differ in the last bit for some arguments on some hosts (e.g.
-    # 4.646173882695036 ** 11), so the property holds where the four powers
-    # agree; everything after the powers is pinned bit for bit
+    # the weights use only + and *, so floats and arrays agree on every
+    # cell, also where Python's and numpy's powers differ in the last bit
+    # (4.646173882695036 ** 11 on some hosts)
     @given(quadrature_cells())
+    @example((11, 4.5, 4.646173882695036, 1.0, 1.0))
     @example((3, 0.0, 1e-3, 1.0, 1.0))
     @example((2, 0.0, radius_limit(2), 1.0, math.inf))
     @example((12, radius_limit(12) * 0.5, radius_limit(12), math.inf, 0.0))
@@ -331,9 +334,6 @@ class TestFloatPaths:
     def test_cell_increment(self, cell):
         n, s0, s1, G0, G1 = cell
         ends = np.array([s0, s1])
-        with np.errstate(over="ignore"):
-            assume(all(s ** m == (ends ** m)[i]
-                       for i, s in enumerate((s0, s1)) for m in (n, n + 1)))
         x = float_path(_cell_increment, s0, s1, G0, G1, n)
         y = float(_cell_increments(ends, np.array([G0, G1]), n)[0])
         # 0 * inf is nan on both paths
@@ -351,6 +351,51 @@ class TestFloatPaths:
         with np.errstate(over="ignore"):
             assert np.exp(_LOG_DBL_MAX) < math.inf
             assert np.exp(np.nextafter(_LOG_DBL_MAX, 800.0)) == math.inf
+
+
+class TestCellWeights:
+    """The product-trapezoid weights against independent oracles: A and B
+    are the integrals over [s0, s1] of s^(n-1) (s1 - s) / h and
+    s^(n-1) (s - s0) / h, with h = s1 - s0."""
+
+    # thin cells far from the origin, where weights formed as differences
+    # of s^n and s^(n+1) lose about (s/h)^2 eps
+    @pytest.mark.parametrize("s0,n", [(100.0, 2), (50.0, 3), (1000.0, 5)])
+    def test_thin_far_cells_against_mpmath(self, s0, n):
+        mp = pytest.importorskip("mpmath")
+        s1 = s0 + 1e-3
+        weights = _cell_weights(s0, s1, n)
+        with mp.workdps(50):
+            lo, hi = mp.mpf(s0), mp.mpf(s1)
+            exact = (mp.quad(lambda s: s ** (n - 1) * (hi - s), [lo, hi]),
+                     mp.quad(lambda s: s ** (n - 1) * (s - lo), [lo, hi]))
+            for got, want in zip(weights, exact):
+                rel = abs(mp.mpf(got) * (hi - lo) / want - 1)
+                assert rel <= 8 * sys.float_info.epsilon
+
+    # A is at least h s1^(n-1) / (n (n+1)) and B at least n times that, so
+    # both are positive wherever that bound is not below the normal floats;
+    # the examples are cells one ulp wide
+    @given(quadrature_cells())
+    @example((2, 100.0, math.nextafter(100.0, 200.0), 1.0, 1.0))
+    @example((5, 1000.0, math.nextafter(1000.0, 2000.0), 1.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_positive(self, cell):
+        n, s0, s1, _, _ = cell
+        assume((s1 - s0) * s1 ** (n - 1)
+               >= n * (n + 1) * sys.float_info.min)
+        A, B = _cell_weights(s0, s1, n)
+        assert A > 0.0 and B > 0.0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_symbolic_weights_are_the_exact_integrals(self, n):
+        sympy = pytest.importorskip("sympy")
+        s, s0, s1 = sympy.symbols("s s0 s1")
+        A, B = _cell_weights(s0, s1, n)
+        h = s1 - s0
+        for w, kernel in ((A, s1 - s), (B, s - s0)):
+            exact = sympy.integrate(s ** (n - 1) * kernel, (s, s0, s1))
+            assert sympy.expand(w * h - exact) == 0
 
 
 class TestOdeResidual:
