@@ -4,15 +4,16 @@ Exit codes: 0 ok, 1 `solve` found no fixed point although the blow-up walk
 stays bounded up to r_end, 2 admissibility rejection, 3 blow-up before r_end,
 4 inconclusive classification, 10 I/O failure, 64 usage error (including
 non-finite numbers where a finite one is needed).  A radius (--r-end,
---r-max) must keep r^(n+1) below the largest float, a bound that keeps the
-cell weights finite.  A rejected sweep tuple gets an `error` row and the
-sweep exits 64 after writing every row.  Outputs are deterministic: CSV
-floats carry 17 significant digits; sweep rows are sorted by parameter tuple.
+--r-max) must keep r^(n+1), and `verify --r-max` r^2 and 4 A^2 r^2, below the
+largest float.  A rejected sweep tuple gets an `error` row and the sweep
+exits 64 after writing every row.  Outputs are deterministic: CSV floats
+carry 17 significant digits; sweep rows are sorted by parameter tuple.
 """
 
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -179,14 +180,33 @@ def cmd_ko(args) -> int:
     return EXIT_INCONCLUSIVE if ko.classification == INCONCLUSIVE else EXIT_OK
 
 
+_JSON_BOOL = ("false", "true")
+_REPORT_ROW = ('    {\n      "r": %s,\n      "pass": %s,\n      "margin": %s,\n'
+               '      "gamma_k_ok": %s,\n      "log_domain": %s\n    }')
+
+
+def _dump_report(fh, payload: dict) -> None:
+    """`json.dump(payload, fh, indent=2)` and a newline, for a verify report
+    ("radii" last, rows from `RadiusCheck.to_dict`): json's indented encoder
+    runs in pure Python, so the rows, nearly all the bytes, use a template."""
+    def num(x):  # json's spelling: repr, NaN, Infinity or -Infinity
+        return repr(x) if math.isfinite(x) else json.dumps(x)
+    rows = ",\n".join(
+        _REPORT_ROW % (num(c["r"]), _JSON_BOOL[c["pass"]], num(c["margin"]),
+                       _JSON_BOOL[c["gamma_k_ok"]], _JSON_BOOL[c["log_domain"]])
+        for c in payload["radii"])
+    head = {key: value for key, value in payload.items() if key != "radii"}
+    fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "radii": ['  # drop "\n}"
+             + (f"\n{rows}\n  " if rows else "") + "]\n}\n")
+
+
 def cmd_verify(args) -> int:
     p = ProblemParams(args.n, args.k, args.mu)
     radii = default_radii(p, args.A, r_max=args.r_max)
     report = verify_subsolution(p, args.A, args.alpha, radii)
     with _open_out(args.out) as fh:
         if args.format == "json":
-            json.dump({"schema": SCHEMA_ID, **report.to_dict()}, fh, indent=2)
-            fh.write("\n")
+            _dump_report(fh, {"schema": SCHEMA_ID, **report.to_dict()})
         else:
             fh.write("r,pass,margin,gamma_k_ok\n")
             for c in report.checks:

@@ -6,7 +6,7 @@ identity, so the spectrum is explicit:
     lambda = ( 4 A^2 e^(A r^2) (r^2 + (1 + mu r)/(2A)),
                2 A e^(A r^2) (1 + mu r),  ... (n-1 times) )
 
-The verifier checks, radius by radius, that the spectrum stays in Gamma_k and
+The verifier checks, at every radius, that the spectrum stays in Gamma_k and
 that S_k >= u^(k alpha).  Every factor of e^(A r^2) scales out: checks run on
 the scaled (polynomial) spectrum and margins move to the log domain once the
 raw values stop being representable, so the inequality direction is exact at
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial import ProblemParams
-from .symmetric import binom, elem_sym_all
+from .symmetric import _elem_sym, binom
 
 __all__ = [
     "GaussianCandidate", "RadiusCheck", "SubsolutionReport",
@@ -42,11 +42,11 @@ class GaussianCandidate:
                              f"and > 0, got {self.A}")
 
 
-def _scaled_spectrum(p: ProblemParams, A: float, r: float) -> np.ndarray:
-    """Spectrum divided by e^(A r^2): polynomial in r, overflow-free."""
-    out = np.full(p.n, 2.0 * A * (1.0 + p.mu * r))
-    out[0] = 4.0 * A * A * (r * r + (1.0 + p.mu * r) / (2.0 * A))
-    return out
+def _scaled_spectrum(p: ProblemParams, A: float, r):
+    """Spectrum / e^(A r^2) as (lambda_1, lambda_2 repeated n-1 times), for a
+    float r or an array of radii: polynomial in r, overflow-free."""
+    return (4.0 * A * A * (r * r + (1.0 + p.mu * r) / (2.0 * A)),
+            2.0 * A * (1.0 + p.mu * r))
 
 
 def gaussian_spectrum(p: ProblemParams, A: float, r: float) -> np.ndarray:
@@ -54,7 +54,8 @@ def gaussian_spectrum(p: ProblemParams, A: float, r: float) -> np.ndarray:
     GaussianCandidate(A)
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    return math.exp(A * r * r) * _scaled_spectrum(p, A, r)
+    lam1, lam2 = _scaled_spectrum(p, A, r)
+    return math.exp(A * r * r) * np.array([lam1] + [lam2] * (p.n - 1))
 
 
 def gaussian_threshold(n: int, k: int) -> float:
@@ -125,7 +126,7 @@ def default_radii(p: ProblemParams, A: float, r_max: float = 10.0,
     if not (math.isfinite(r_max) and r_max > 0) or count < 2:
         raise ValueError(f"need finite r_max > 0 and count >= 2, got "
                          f"r_max={r_max}, count={count}")
-    n_lin = count // 2
+    n_lin = max(count // 2, 2)     # 0 and r_max, whatever the count
     lin = np.linspace(0.0, r_max, n_lin)
     geo = np.geomspace(r_max * 1e-3, r_max, count - n_lin + 1)[:-1]
     pts = np.concatenate((lin, geo))
@@ -151,34 +152,46 @@ def verify_subsolution(p: ProblemParams, A: float, alpha: float, radii,
         raise ValueError(f"alpha must be finite, got {alpha}")
     if not 0.0 <= rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+    r = np.asarray(radii, dtype=float)
+    if r.ndim != 1 or np.any(r < 0):
+        raise ValueError("radii must be a one-dimensional sequence of r >= 0")
+    k = p.k
+    # S_1..S_k on radius columns, with the bits of the per-radius recurrence
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam1, lam2 = _scaled_spectrum(p, A, r)
+        if not np.isfinite([lam1, lam2]).all():
+            raise ValueError("scaled spectrum not finite: r too large for A")
+        sums = _elem_sym([lam1] + [lam2] * (p.n - 1), k)
+        # redo rows where some S_j overflowed on the spectrum times 2^-e, e
+        # chosen to bring |S_k| ~ max|lambda| |lambda_2|^(k-1) near 1
+        over = ~np.isfinite(sums).all(axis=0)
+        shift = np.zeros_like(r)
+        if over.any():
+            e = (np.frexp(np.maximum(abs(lam1[over]), abs(lam2[over])))[1]
+                 + (k - 1) * np.frexp(lam2[over])[1]) // k
+            l1, l2 = np.ldexp(lam1[over], -e), np.ldexp(lam2[over], -e)
+            for s, s_over in zip(sums, _elem_sym([l1] + [l2] * (p.n - 1), k)):
+                s[over] = s_over
+            shift[over] = k * e * math.log(2.0)   # log S_k - log S_k(scaled)
+    gamma = (np.array(sums) > 0.0).all(axis=0)  # as in_gamma_k
     checks = []
     first_failure = None
-    for r in np.asarray(radii, dtype=float):
-        if r < 0:
-            raise ValueError(f"radius must be >= 0, got {r}")
-        scaled = _scaled_spectrum(p, A, r)
-        # S_1..S_k once: Gamma_k membership (as in_gamma_k) and S_k itself
-        sums = elem_sym_all(scaled, p.k)
-        gamma_ok = all(s > 0.0 for s in sums)
-        sk_scaled = sums[-1]
+    for ri, sk_scaled, log_shift, gamma_ok in zip(
+            r.tolist(), sums[-1].tolist(), shift.tolist(), gamma.tolist()):
         # S_k = e^(k A r^2) sk_scaled  vs  u^(k alpha) = e^(k alpha A r^2)
         if sk_scaled <= 0.0:
-            ok = False
-            margin, log_domain = -math.inf, True
+            ok, margin, log_domain = False, -math.inf, True
         else:
-            log_lhs = p.k * A * r * r + math.log(sk_scaled)
-            log_rhs = p.k * alpha * A * r * r
+            log_lhs = k * A * ri * ri + (math.log(sk_scaled) + log_shift)
+            log_rhs = k * alpha * A * ri * ri
             ok = log_lhs - log_rhs >= -rel_tol
-            if max(log_lhs, log_rhs) < _LOG_HUGE:
-                margin = math.exp(log_lhs) - math.exp(log_rhs)
-                log_domain = False
-            else:
-                margin = log_lhs - log_rhs
-                log_domain = True
+            log_domain = max(log_lhs, log_rhs) >= _LOG_HUGE
+            margin = (log_lhs - log_rhs if log_domain
+                      else math.exp(log_lhs) - math.exp(log_rhs))
         passed = bool(ok and gamma_ok)
         if not passed and first_failure is None:
-            first_failure = float(r)
-        checks.append(RadiusCheck(float(r), passed, float(margin),
-                                  bool(gamma_ok), log_domain))
+            first_failure = ri
+        checks.append(RadiusCheck(ri, passed, float(margin), gamma_ok,
+                                  log_domain))
     return SubsolutionReport(p, float(A), float(alpha), checks,
                              all(c.passed for c in checks), first_failure)

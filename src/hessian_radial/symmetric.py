@@ -19,22 +19,23 @@ def binom(n: int, k: int) -> int:
 
 
 def elem_sym_all(values: Sequence[float], p: int) -> list[float]:
-    """All elementary symmetric polynomials S_1..S_p of `values`.
-
-    Builds the coefficient array of prod(x + v_i) incrementally, one linear
-    factor at a time: O(n*p) operations, no subset enumeration.
-    """
+    """All elementary symmetric polynomials S_1..S_p of `values`."""
     lam = [float(v) for v in values]
-    n = len(lam)
-    if not 1 <= p <= n:
-        raise ValueError(f"order p must satisfy 1 <= p <= {n}, got {p}")
-    for v in lam:
-        if not math.isfinite(v):
-            raise ValueError(f"spectrum entries must be finite, got {v}")
+    if not 1 <= p <= len(lam):
+        raise ValueError(f"order p must satisfy 1 <= p <= {len(lam)}, got {p}")
+    if not all(map(math.isfinite, lam)):
+        raise ValueError(f"spectrum entries must be finite, got {lam}")
+    return _elem_sym(lam, p)
+
+
+def _elem_sym(values, p: int) -> list:
+    """S_1..S_p, unchecked: the coefficients of prod(x + v_i), one linear
+    factor at a time.  Entries may be floats or equal-shape arrays; each update
+    is one `*` and one `+`, which floats and numpy ufuncs round alike."""
     e = [1.0] + [0.0] * p
-    for v in lam:
+    for v in values:
         for j in range(p, 0, -1):
-            e[j] += v * e[j - 1]
+            e[j] = e[j] + v * e[j - 1]
     return e[1:]
 
 

@@ -1,12 +1,17 @@
 """CLI commands, exit codes and deterministic outputs."""
 
+import io
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hessian_radial.cli import _parse_f_grid, main
+from hessian_radial import ProblemParams, verify_subsolution
+from hessian_radial.cli import _dump_report, _parse_f_grid, main
 
 
 def run(capsys, *argv):
@@ -198,6 +203,55 @@ class TestVerify:
         assert_quiet_usage_error(capsys, "verify", "--n", "3", "--k", "2",
                                  "--mu", "0.1",
                                  *(x for kv in argv.items() for x in kv))
+
+    # n=3, k=2 overflows r^2 past r = 1.3e154; this leaked numpy's
+    # "overflow encountered in scalar multiply" before the usage error
+    def test_huge_r_max_is_quiet_usage_error(self, capsys):
+        assert_quiet_usage_error(capsys, "verify", "--n", "3", "--k", "2",
+                                 "--mu", "0.1", "--A", "0.3", "--alpha", "1",
+                                 "--r-max", "1e160")
+
+
+def _ordered(keys, *values):
+    """Dicts with `keys` in this order (the report's order)."""
+    return st.tuples(*values).map(lambda vals: dict(zip(keys, vals)))
+
+
+_row = _ordered(("r", "pass", "margin", "gamma_k_ok", "log_domain"),
+                st.floats(), st.booleans(), st.floats(), st.booleans(),
+                st.booleans())
+_payload = _ordered(
+    ("schema", "params", "A", "alpha", "passed", "first_failure", "radii"),
+    st.just("hessian-radial/1"),
+    _ordered(("n", "k", "mu"), st.integers(2, 9), st.integers(1, 9),
+             st.floats()),
+    st.floats(), st.floats(), st.booleans(), st.none() | st.floats(),
+    st.lists(_row))
+
+
+def _report_payload(radii):
+    report = verify_subsolution(ProblemParams(3, 2, 0.1), 0.3, 2.0, radii)
+    return {"schema": "hessian-radial/1", **report.to_dict()}
+
+
+class TestDumpReport:
+    @given(_payload)
+    @example(_report_payload([]))
+    @example(_report_payload([0.0, 0.5, 60.0, 1e130]))
+    @example({"schema": "hessian-radial/1",
+              "params": {"n": 2, "k": 1, "mu": -0.0}, "A": 5e-324,
+              "alpha": -math.inf, "passed": False, "first_failure": None,
+              "radii": [{"r": x, "pass": True, "margin": y,
+                         "gamma_k_ok": False, "log_domain": True}
+                        for x, y in [(math.inf, -math.inf), (math.nan, -0.0),
+                                     (5e-324, 1e308), (0.1, 1e16)]]})
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_equal_json_dump(self, payload):
+        want, got = io.StringIO(), io.StringIO()
+        json.dump(payload, want, indent=2)
+        want.write("\n")
+        _dump_report(got, payload)
+        assert got.getvalue() == want.getvalue()
 
 
 class TestSweep:

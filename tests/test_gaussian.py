@@ -4,11 +4,52 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hessian_radial import (GaussianCandidate, ProblemParams,
+from hessian_radial import (GaussianCandidate, ProblemParams, RadiusCheck,
                             cauchy_young_slack, default_radii, elem_sym,
-                            gaussian_spectrum, gaussian_threshold,
-                            gaussian_threshold_negative_mu, verify_subsolution)
+                            elem_sym_all, gaussian_spectrum,
+                            gaussian_threshold, gaussian_threshold_negative_mu,
+                            verify_subsolution)
+
+
+def scalar_check(p, A, alpha, r, rel_tol=1e-12):
+    """Reference: the per-radius verifier, elem_sym_all on the scaled
+    spectrum one radius at a time.  None where some S_j overflows."""
+    lam1 = 4.0 * A * A * (r * r + (1.0 + p.mu * r) / (2.0 * A))
+    lam2 = 2.0 * A * (1.0 + p.mu * r)
+    sums = elem_sym_all([lam1] + [lam2] * (p.n - 1), p.k)
+    if not all(map(math.isfinite, sums)):
+        return None
+    gamma_ok = all(s > 0.0 for s in sums)
+    if sums[-1] <= 0.0:
+        ok, margin, log_domain = False, -math.inf, True
+    else:
+        log_lhs = p.k * A * r * r + math.log(sums[-1])
+        log_rhs = p.k * alpha * A * r * r
+        ok = log_lhs - log_rhs >= -rel_tol
+        log_domain = max(log_lhs, log_rhs) >= math.log(1e300)
+        if log_domain:
+            margin = log_lhs - log_rhs
+        else:
+            margin = math.exp(log_lhs) - math.exp(log_rhs)
+    return RadiusCheck(r, bool(ok and gamma_ok), margin, gamma_ok, log_domain)
+
+
+def mp_log_margin(mp, p, A, alpha, r):
+    """log S_k(spectrum) - log u^(k alpha), S_k by the recurrence at 50 digits,
+    and whether S_1..S_k are all positive."""
+    mp.mp.dps = 50
+    A, r, mu = mp.mpf(A), mp.mpf(r), mp.mpf(p.mu)
+    lam1 = 4 * A * A * (r * r + (1 + mu * r) / (2 * A))
+    lam2 = 2 * A * (1 + mu * r)
+    e = [mp.mpf(1)] + [mp.mpf(0)] * p.k
+    for v in [lam1] + [lam2] * (p.n - 1):
+        for j in range(p.k, 0, -1):
+            e[j] += v * e[j - 1]
+    log_margin = p.k * A * r * r * (1 - alpha) + mp.log(e[-1])
+    return log_margin, all(s > 0 for s in e[1:])
 
 
 class TestSpectrum:
@@ -174,8 +215,70 @@ class TestVerify:
         assert set(payload["radii"][0]) == {"r", "pass", "margin",
                                             "gamma_k_ok", "log_domain"}
 
+    @given(n=st.integers(2, 12), data=st.data(), mu=st.floats(-3.0, 3.0),
+           A=st.floats(1e-3, 1e3), alpha=st.floats(-3.0, 3.0),
+           r_max=st.floats(1e-2, 1e100),
+           extra=st.lists(st.floats(0.0, 1e100), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_vectorised_checks_equal_scalar_reference(self, n, data, mu, A,
+                                                      alpha, r_max, extra):
+        # bit for bit, on every row whose S_1..S_k stay finite; the default
+        # grid adds generic radii, where last-bit differences show
+        p = ProblemParams(n, data.draw(st.integers(1, n)), mu)
+        radii = default_radii(p, A, r_max, 32).tolist() + extra
+        report = verify_subsolution(p, A, alpha, radii)
+        assert len(report.checks) == len(radii)
+        for r, check in zip(radii, report.checks):
+            want = scalar_check(p, A, alpha, r)
+            if want is not None:
+                assert repr(check) == repr(want)
+
+    @pytest.mark.parametrize("radii", [[[0.0, 1.0]], np.zeros((2, 3)), 1.0])
+    def test_radii_must_be_one_dimensional(self, radii):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            verify_subsolution(ProblemParams(3, 2, 0.1), 0.3, 1.0, radii)
+
+    @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf, 2e154])
+    def test_bad_radius_or_spectrum_is_value_error(self, r):
+        with pytest.raises(ValueError):
+            verify_subsolution(ProblemParams(3, 2, 0.1), 0.3, 1.0, [1.0, r])
+
+
+class TestSkOverflow:
+    # S_k overflowed to inf and log(inf) passed the first case with
+    # margin=inf; scaling the spectrum by max|lambda| alone underflows the
+    # second case's S_k to 0 and fails it
+    @pytest.mark.parametrize("n,k,mu,A,r", [
+        (3, 2, 0.1, 0.3, 1e130),
+        (10, 7, 0.4367, 0.2807, 6.3e54),
+        (14, 8, 1.0, 0.5, 1e45),
+        (4, 1, 3e153, 0.5, 1e154),
+    ])
+    def test_row_against_mpmath(self, n, k, mu, A, r):
+        mp = pytest.importorskip("mpmath")
+        p = ProblemParams(n, k, mu)
+        assert scalar_check(p, A, 1.0, r) is None  # S_j overflows in floats
+        want, gamma = mp_log_margin(mp, p, A, 2.0, r)
+        check = verify_subsolution(p, A, 2.0, [r]).checks[0]
+        assert gamma and check.gamma_k_ok
+        assert not check.passed and check.log_domain
+        assert check.margin == pytest.approx(float(want), rel=1e-12)
+        check = verify_subsolution(p, A, 1.0, [r]).checks[0]
+        assert check.passed and check.log_domain
+        assert math.isfinite(check.margin)
+
 
 class TestDefaultRadii:
+    # count 2 and 3 used to drop r_max: linspace(0, r_max, 1) is [0]
+    @pytest.mark.parametrize("count,want", [
+        (2, [0.0, 10.0]),
+        (3, [0.0, 10.0 * 1e-3, 10.0]),
+        (4, [0.0, 10.0 * 1e-3, np.geomspace(10.0 * 1e-3, 10.0, 3)[1], 10.0]),
+    ])
+    def test_small_counts_keep_both_ends(self, count, want):
+        radii = default_radii(ProblemParams(3, 2, 0.0), 0.3, 10.0, count)
+        assert radii.tolist() == want
+
     def test_count_and_endpoints(self):
         p = ProblemParams(3, 2, 0.0)
         radii = default_radii(p, 0.3, 10.0, 512)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessian_radial import binom, elem_sym, elem_sym_all, in_gamma_k, mu_zero
+from hessian_radial.symmetric import _elem_sym
 
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -48,6 +49,20 @@ class TestElemSym:
         got = elem_sym(values, p)
         want = oracle_elem_sym(values, p)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @given(st.integers(1, 8), st.integers(1, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_array_columns_equal_float_calls(self, n, m, data):
+        # the vectorised verifier relies on this: one recurrence, same bits
+        p = data.draw(st.integers(1, n))
+        cols = [np.array(data.draw(st.lists(
+            st.floats(-1e30, 1e30), min_size=m, max_size=m))) for _ in range(n)]
+        got = _elem_sym(cols, p)
+        assert len(got) == p
+        for i in range(m):
+            want = _elem_sym([float(c[i]) for c in cols], p)
+            assert [s[i].tobytes() for s in got] == \
+                [np.float64(w).tobytes() for w in want]
 
 
 class TestGammaK:
