@@ -4,10 +4,11 @@ Exit codes: 0 ok, 1 `solve` found no fixed point although the blow-up walk
 stays bounded up to r_end, 2 admissibility rejection, 3 blow-up before r_end,
 4 inconclusive classification, 10 I/O failure, 64 usage error (including
 non-finite numbers where a finite one is needed).  A radius (--r-end,
---r-max) must keep r^(n+1), and `verify --r-max` r^2 and 4 A^2 r^2, below the
-largest float.  A rejected sweep tuple gets an `error` row and the sweep
-exits 64 after writing every row.  Outputs are deterministic: CSV floats
-carry 17 significant digits; sweep rows are sorted by parameter tuple.
+--r-max) must keep r^(n+1), and `verify --r-max` r^2, 4 A^2 r^2, k A r^2 and
+k alpha A r^2, below the largest float.  A rejected sweep tuple gets an
+`error` row and the sweep exits 64 after writing every row.  Outputs are
+deterministic: CSV floats carry 17 significant digits; sweep rows are sorted
+by parameter tuple.
 """
 
 import argparse
@@ -83,10 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hessian-radial", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_params(sp, mu_required=True):
+    def add_params(sp):
         sp.add_argument("--n", type=int, required=True, help="space dimension")
         sp.add_argument("--k", type=int, required=True, help="Hessian order")
-        sp.add_argument("--mu", type=float, required=mu_required,
+        sp.add_argument("--mu", type=float, required=True,
                         help="gradient coefficient")
 
     solve = sub.add_parser("solve", help="solve the radial Cauchy problem")

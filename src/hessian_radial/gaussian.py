@@ -50,12 +50,21 @@ def _scaled_spectrum(p: ProblemParams, A: float, r):
 
 
 def gaussian_spectrum(p: ProblemParams, A: float, r: float) -> np.ndarray:
-    """Eigenvalues of D^2 u + mu |Du| I for u = e^(A |x|^2) at radius r."""
+    """Eigenvalues of D^2 u + mu |Du| I for u = e^(A |x|^2) at radius r;
+    ValueError once e^(A r^2) or its product with the spectrum overflows."""
     GaussianCandidate(A)
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
     lam1, lam2 = _scaled_spectrum(p, A, r)
-    return math.exp(A * r * r) * np.array([lam1] + [lam2] * (p.n - 1))
+    try:
+        scale = math.exp(A * r * r)
+    except OverflowError:
+        scale = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = scale * np.array([lam1] + [lam2] * (p.n - 1))
+    if not np.isfinite(out).all():
+        raise ValueError(f"Gaussian spectrum not finite at r={r} for A={A}")
+    return out
 
 
 def gaussian_threshold(n: int, k: int) -> float:
@@ -159,8 +168,10 @@ def verify_subsolution(p: ProblemParams, A: float, alpha: float, radii,
     # S_1..S_k on radius columns, with the bits of the per-radius recurrence
     with np.errstate(over="ignore", invalid="ignore"):
         lam1, lam2 = _scaled_spectrum(p, A, r)
-        if not np.isfinite([lam1, lam2]).all():
-            raise ValueError("scaled spectrum not finite: r too large for A")
+        # the margin loop's exponents k A r^2 and k alpha A r^2, in its order
+        if not np.isfinite([lam1, lam2, k * A * r * r,
+                            k * alpha * A * r * r]).all():
+            raise ValueError("spectrum or k A r^2 not finite: r too big for A")
         sums = _elem_sym([lam1] + [lam2] * (p.n - 1), k)
         # redo rows where some S_j overflowed on the spectrum times 2^-e, e
         # chosen to bring |S_k| ~ max|lambda| |lambda_2|^(k-1) near 1

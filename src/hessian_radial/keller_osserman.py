@@ -123,15 +123,6 @@ def _trapz(values: np.ndarray, grid: np.ndarray) -> float:
     return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(grid)))
 
 
-def _inner_integral(f: Nonlinearity, k: int, tau: np.ndarray) -> np.ndarray:
-    """Cumulative quadrature of int_0^tau f^k on the given grid."""
-    head_grid = np.linspace(0.0, tau[0], _HEAD_NODES)
-    head = _trapz(f.pow_k(head_grid, k), head_grid)
-    vals = f.pow_k(tau, k)
-    inc = 0.5 * (vals[1:] + vals[:-1]) * np.diff(tau)
-    return head + np.concatenate(([0.0], np.cumsum(inc)))
-
-
 def ko_classify_numeric(f: Nonlinearity, k: int, tau_lo: float = 1.0,
                         tau_hi: float = 1e6, nodes: int = 400,
                         margin: float = DEFAULT_MARGIN) -> KOVerdict:
@@ -154,13 +145,18 @@ def ko_classify_numeric(f: Nonlinearity, k: int, tau_lo: float = 1.0,
     # f^k overflow anywhere on the range forces the inner integral to
     # overflow too: the source grows at least exponentially, so the outer
     # integrand decays at least exponentially.
-    max_log = float(np.max(k * np.asarray(f.log_eval(tau), dtype=float)))
-    if max_log > _OVERFLOW_LOG:
+    klog = k * np.asarray(f.log_eval(tau), dtype=float)
+    if float(np.max(klog)) > _OVERFLOW_LOG:
         return KOVerdict(
             CONVERGES, "numeric", exponential_decay=True,
             tau_range=(tau_lo, tau_hi),
             note="f^k overflows before tau_hi; super-exponential source")
-    inner = _inner_integral(f, k, tau)
+    # int_0^tau f^k by trapezoids; f^k on tau is f.pow_k(tau, k), finite here
+    vals = np.exp(klog)
+    head_grid = np.linspace(0.0, tau[0], _HEAD_NODES)
+    head = _trapz(f.pow_k(head_grid, k), head_grid)
+    inc = 0.5 * (vals[1:] + vals[:-1]) * np.diff(tau)
+    inner = head + np.concatenate(([0.0], np.cumsum(inc)))
     if inner[-1] <= 0.0:
         raise ValueError("f vanishes identically on the integration range")
     if np.any(inner <= 0.0):

@@ -6,9 +6,9 @@ Built-in families:
   exp:alpha  f(t) = e^(alpha t)  (alpha >= 0)
   pow:q      f(t) = t^q for t > 0, 0 for t <= 0   (q >= 0, degenerate cutoff)
 
-plus user callbacks with caller-declared positivity/monotonicity flags.  The
-same family spec strings are accepted by the CLI.  Powers f(t)^k are taken in
-the log domain, exp(k * log f(t)), so that large k and fast-growing f only
+plus user callbacks, positive and monotone on the caller's word.  The same
+family spec strings are accepted by the CLI.  Powers f(t)^k are taken in the
+log domain, exp(k * log f(t)), so that large k and fast-growing f only
 overflow where the true value does.
 """
 
@@ -27,14 +27,13 @@ _FAMILIES = ("const", "exp", "pow", "custom")
 class Nonlinearity:
     """A positive source term t -> f(t).
 
-    Custom callbacks must be reentrant; their declared flags are trusted, not
-    proved (use :func:`audit_monotone_positive` for a sampling-based check).
+    Custom callbacks must be reentrant; `degenerate_at_nonpositive` is trusted,
+    not proved (use :func:`audit_monotone_positive` for a sampling check).
     """
 
     family: str
     param: float | None = None
     fn: Callable[[float], float] | None = None
-    positive_everywhere: bool = True
     degenerate_at_nonpositive: bool = False
     label: str = field(default="", compare=False)
 
@@ -73,16 +72,13 @@ class Nonlinearity:
 
     @classmethod
     def power_cutoff(cls, q: float) -> "Nonlinearity":
-        return cls("pow", float(q), positive_everywhere=False,
-                   degenerate_at_nonpositive=True)
+        return cls("pow", float(q), degenerate_at_nonpositive=True)
 
     @classmethod
     def custom(cls, fn: Callable[[float], float], *,
-               positive_everywhere: bool = True,
                degenerate_at_nonpositive: bool = False,
                label: str = "custom") -> "Nonlinearity":
-        return cls("custom", None, fn, positive_everywhere,
-                   degenerate_at_nonpositive, label)
+        return cls("custom", None, fn, degenerate_at_nonpositive, label)
 
     def eval(self, t):
         """f(t) for a scalar or ndarray argument; pow:q returns 0 for t <= 0."""

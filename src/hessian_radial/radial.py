@@ -73,6 +73,18 @@ class ProblemParams:
         return {"n": self.n, "k": self.k, "mu": self.mu}
 
 
+def _radial_pair(p: ProblemParams, r: float, dphi: float, ddphi: float):
+    """(lambda_1, lambda_2) of :func:`radial_spectrum`, with its checks."""
+    if r < 0:
+        raise ValueError(f"radius must be >= 0, got {r}")
+    if r == 0:
+        if dphi != 0:
+            raise ValueError("a C^2 radial profile forces phi'(0) = 0; "
+                             f"got phi'(0) = {dphi}")
+        return float(ddphi), float(ddphi)
+    return ddphi + p.mu * dphi, (1.0 + p.mu * r) / r * dphi
+
+
 def radial_spectrum(p: ProblemParams, r: float, dphi: float,
                     ddphi: float) -> np.ndarray:
     """Eigenvalues of D^2 u + mu |Du| I at radius r for a radial profile.
@@ -80,34 +92,21 @@ def radial_spectrum(p: ProblemParams, r: float, dphi: float,
     For r > 0: (phi'' + mu phi', ((1+mu r)/r) phi' repeated n-1 times).
     At r = 0 the matrix is isotropic: all n eigenvalues equal phi''(0).
     """
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if r == 0:
-        if dphi != 0:
-            raise ValueError("a C^2 radial profile forces phi'(0) = 0; "
-                             f"got phi'(0) = {dphi}")
-        return np.full(p.n, float(ddphi))
-    out = np.full(p.n, (1.0 + p.mu * r) / r * dphi)
-    out[0] = ddphi + p.mu * dphi
+    lam1, lam2 = _radial_pair(p, r, dphi, ddphi)
+    out = np.full(p.n, lam2)
+    out[0] = lam1
     return out
 
 
 def sk_radial(p: ProblemParams, r: float, dphi: float, ddphi: float) -> float:
-    """S_k of the radial spectrum via the two-term closed form.
-
-    O(1) per point (used in the solver hot loop); the generic elementary
-    symmetric polynomial route is kept as a test oracle.
-    """
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
+    """S_k of the radial spectrum via the two-term closed form, O(1) per
+    point (used by :func:`ode_residual`; elem_sym is the tests' oracle)."""
+    lam1, w = _radial_pair(p, r, dphi, ddphi)
     if r == 0:
-        if dphi != 0:
-            raise ValueError("a C^2 radial profile forces phi'(0) = 0; "
-                             f"got phi'(0) = {dphi}")
-        return binom(p.n, p.k) * float(ddphi) ** p.k
-    w = (1.0 + p.mu * r) / r * dphi
+        # not the two-term form: C(n,k) phi''^k differs from it in the last bit
+        return binom(p.n, p.k) * lam1 ** p.k
     # math.comb(n-1, k) is 0 for k = n, which is exactly the k = n case here
-    return (binom(p.n - 1, p.k - 1) * (ddphi + p.mu * dphi) * w ** (p.k - 1)
+    return (binom(p.n - 1, p.k - 1) * lam1 * w ** (p.k - 1)
             + math.comb(p.n - 1, p.k) * w ** p.k)
 
 

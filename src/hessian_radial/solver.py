@@ -72,8 +72,7 @@ class RadialProfile:
 
     `volterra[i]` is the accumulated integral over [0, grid[i]], and
     `dphi[i]` is always produced by :func:`dphi_from_integral` applied to it,
-    so the two columns are consistent by construction.  `defect` holds the
-    per-cell slope defect |d psi/dr - F| at cell midpoints when available.
+    so the two columns are consistent by construction.
     """
 
     grid: np.ndarray
@@ -82,7 +81,6 @@ class RadialProfile:
     volterra: np.ndarray
     params: ProblemParams
     f: Nonlinearity
-    defect: np.ndarray | None = None
     truncated_at: float | None = None
 
     @property
@@ -109,10 +107,7 @@ class RadialProfile:
                 raise ValueError(f"non-finite values in {name}")
 
     def cell_defects(self) -> np.ndarray:
-        """The stored `defect`, else :func:`per_cell_defect`; empty for a
-        one-node profile, which has no cells."""
-        if self.defect is not None:
-            return self.defect
+        """:func:`per_cell_defect`; empty for a one-node profile (no cells)."""
         return per_cell_defect(self) if len(self.grid) >= 2 else np.zeros(0)
 
     def to_csv(self, fileobj) -> None:

@@ -211,6 +211,13 @@ class TestVerify:
                                  "--mu", "0.1", "--A", "0.3", "--alpha", "1",
                                  "--r-max", "1e160")
 
+    # k A r^2 overflows before the scaled spectrum when A < k/4: this exited
+    # 0 with margin NaN, a failure for a candidate above its threshold
+    def test_overflowing_margin_exponent_is_quiet_usage_error(self, capsys):
+        assert_quiet_usage_error(capsys, "verify", "--n", "3", "--k", "3",
+                                 "--mu", "0", "--A", "0.6", "--alpha", "1",
+                                 "--r-max", "1.05e154")
+
 
 def _ordered(keys, *values):
     """Dicts with `keys` in this order (the report's order)."""

@@ -76,6 +76,19 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             gaussian_spectrum(ProblemParams(2, 1, 0.0), -1.0, 0.0)
 
+    # e^(A r^2) overflows at r = 30 (math.exp raised OverflowError), its
+    # product with the scaled spectrum at r = sqrt(709) (numpy warned)
+    @pytest.mark.parametrize("r", [30.0, math.sqrt(709.0)])
+    def test_overflowing_spectrum_is_value_error(self, r):
+        with pytest.raises(ValueError, match="not finite"):
+            gaussian_spectrum(ProblemParams(3, 2, 0.1), 1.0, r)
+
+    def test_large_finite_spectrum_keeps_its_bits(self):
+        spec = gaussian_spectrum(ProblemParams(3, 2, 0.1), 1.0, 26.0)
+        assert [v.hex() for v in spec.tolist()] == [
+            "0x1.9658795698023p+986", "0x1.1440ae58a1f5ep+978",
+            "0x1.1440ae58a1f5ep+978"]
+
 
 class TestThresholds:
     @pytest.mark.parametrize("n,k,expected", [
@@ -242,6 +255,14 @@ class TestVerify:
     def test_bad_radius_or_spectrum_is_value_error(self, r):
         with pytest.raises(ValueError):
             verify_subsolution(ProblemParams(3, 2, 0.1), 0.3, 1.0, [1.0, r])
+
+    # k A r^2 (A < k/4) or k alpha A r^2 overflows while the scaled spectrum
+    # is finite; the first gave the margin inf - inf = NaN
+    @pytest.mark.parametrize("k,A,alpha,r", [(3, 0.6, 1.0, 1.05e154),
+                                             (2, 0.3, 10.0, 1e154)])
+    def test_overflowing_margin_exponent_is_value_error(self, k, A, alpha, r):
+        with pytest.raises(ValueError, match="k A r"):
+            verify_subsolution(ProblemParams(3, k, 0.0), A, alpha, [1.0, r])
 
 
 class TestSkOverflow:

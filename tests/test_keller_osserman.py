@@ -9,6 +9,7 @@ from hessian_radial import (CONVERGES, DIVERGES, EXISTS, INCONCLUSIVE,
                             ProblemParams, existence_verdict,
                             ko_classify_analytic, ko_classify_numeric,
                             mu_zero, parse_f_spec)
+from hessian_radial.keller_osserman import _HEAD_NODES
 
 
 class TestAnalytic:
@@ -103,6 +104,17 @@ class TestNumeric:
             assert v0.classification == v1.classification
             assert v1.tail_exponent == pytest.approx(v0.tail_exponent,
                                                      abs=1e-6)
+
+    def test_log_f_evaluated_once_on_the_tau_grid(self):
+        # the overflow screen and the quadrature share one pass over the
+        # 400 tau nodes; the head grid [0, tau_lo] is the other pass
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return (1.0 + t) ** 1.6
+        ko_classify_numeric(Nonlinearity.custom(counting), 2)
+        assert len(calls) == 400 + _HEAD_NODES
 
     def test_vanishing_source_rejected(self):
         f = Nonlinearity.custom(lambda t: 0.0,

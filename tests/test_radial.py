@@ -1,6 +1,7 @@
 """Radial reduction: spectrum, S_k closed form, integrand, ODE residual."""
 
 import math
+import struct
 import sys
 import warnings
 
@@ -123,6 +124,68 @@ class TestSkRadial:
         assert abs(closed - generic) / scale < 1e-10
 
 
+def reference_spectrum(p, r, dphi, ddphi):
+    """radial_spectrum as two separate formulas, each with its own checks."""
+    if r < 0:
+        raise ValueError(f"radius must be >= 0, got {r}")
+    if r == 0:
+        if dphi != 0:
+            raise ValueError("a C^2 radial profile forces phi'(0) = 0; "
+                             f"got phi'(0) = {dphi}")
+        return np.full(p.n, float(ddphi))
+    out = np.full(p.n, (1.0 + p.mu * r) / r * dphi)
+    out[0] = ddphi + p.mu * dphi
+    return out
+
+
+def reference_sk(p, r, dphi, ddphi):
+    """sk_radial with its own copy of the checks and of lambda_2."""
+    if r < 0:
+        raise ValueError(f"radius must be >= 0, got {r}")
+    if r == 0:
+        if dphi != 0:
+            raise ValueError("a C^2 radial profile forces phi'(0) = 0; "
+                             f"got phi'(0) = {dphi}")
+        return binom(p.n, p.k) * float(ddphi) ** p.k
+    w = (1.0 + p.mu * r) / r * dphi
+    return (binom(p.n - 1, p.k - 1) * (ddphi + p.mu * dphi) * w ** (p.k - 1)
+            + math.comb(p.n - 1, p.k) * w ** p.k)
+
+
+def outcome(fn, *args):
+    """The bits of fn's float results, or the type and message it raised."""
+    try:
+        out = np.atleast_1d(fn(*args))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return [struct.pack("<d", v) for v in out.tolist()]
+
+
+class TestRadialPair:
+    """radial_spectrum and sk_radial share one eigenvalue pair and one set
+    of checks; the results and error messages are those of the separate
+    formulas, bit for bit."""
+
+    @given(st.integers(2, 6), st.integers(1, 6),
+           st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.5, -2.0]),
+           st.just(0.0) | st.floats(-1e3, 1e3) | st.floats(
+               allow_nan=False),
+           st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False),
+           st.floats(allow_nan=False))
+    @example(3, 2, -1.0, 0.0, 0.0, 2.5)        # origin
+    @example(3, 2, -1.0, 0.0, 1e-3, 2.5)       # origin with a slope
+    @example(3, 2, -1.0, -1.0, 0.0, 2.5)       # negative radius
+    @example(4, 3, -0.5, 2.0, 1.5, -1.0)       # 1 + mu r = 0
+    @example(2, 2, 0.3, 1e-300, 1e300, 1e300)  # the powers overflow
+    @settings(max_examples=400, deadline=None)
+    def test_bit_equal_to_separate_formulas(self, n, k, mu, r, dphi, ddphi):
+        p = ProblemParams(n, min(k, n), mu)
+        args = (p, r, dphi, ddphi)
+        assert outcome(radial_spectrum, *args) == outcome(reference_spectrum,
+                                                          *args)
+        assert outcome(sk_radial, *args) == outcome(reference_sk, *args)
+
+
 class TestChi:
     def test_values(self):
         assert chi(ProblemParams(3, 3, 2.0), 5.0) == pytest.approx(30.0)
@@ -190,8 +253,7 @@ SOURCES = {
     "const": Nonlinearity.constant(1.7),
     "exp": Nonlinearity.exponential(1.3),
     "pow": Nonlinearity.power_cutoff(2.5),
-    "custom": Nonlinearity.custom(lambda t: t * t if t > 0 else 0.0,
-                                  positive_everywhere=False),
+    "custom": Nonlinearity.custom(lambda t: t * t if t > 0 else 0.0),
 }
 # k = 1 with any mu (1 + mu s < 0 included), k >= 2 with mu >= 0: the
 # log-domain branch of G, which is what the break-line walk evaluates

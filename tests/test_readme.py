@@ -1,0 +1,55 @@
+"""The README's examples: every CLI command it shows exits with the code it
+documents, and the library quick start runs."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from hessian_radial.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+# the CLI block shows commands that succeed; the examples in the prose each
+# come with the exit code the text gives them
+BLOCK_COMMANDS = [
+    line.removeprefix("hessian-radial ")
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+    for line in block.splitlines() if line.startswith("hessian-radial ")]
+INLINE_EXIT = {
+    "solve --n 2 --k 1 --mu 0 --f exp:1 --a 0 --r-end 2.82 --h 1e-2": 1,
+    "verify --n 3 --k 3 --mu 0 --A 0.6 --alpha 1 --r-max 1.05e154": 64,
+}
+
+
+def test_prose_examples_are_the_listed_ones():
+    # a command with two or more flag values, not a flag named on its own
+    inline = re.findall(
+        r"`((?:solve|ko|verify|mu0|sweep)(?: --[\w-]+ [^\s`]+){2,})`", README)
+    assert sorted(inline) == sorted(INLINE_EXIT)
+
+
+@pytest.mark.parametrize(
+    "command,code",
+    [(c, 0) for c in BLOCK_COMMANDS] + sorted(INLINE_EXIT.items()))
+def test_cli_example_exit_code(command, code, tmp_path, capsys):
+    argv = shlex.split(command)
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+    assert main(argv) == code
+    if "--out" in argv and code == 0:
+        assert Path(argv[argv.index("--out") + 1]).stat().st_size > 0
+
+
+def test_cli_block_covers_every_command():
+    assert sorted({c.split()[0] for c in BLOCK_COMMANDS}) == [
+        "ko", "mu0", "solve", "sweep", "verify"]
+
+
+def test_library_quick_start(capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    exec(compile(code, "README.md", "exec"), {})
+    # exp:1 with k = 2: the growth integral converges, and mu = 0.1 < mu0
+    assert capsys.readouterr().out.splitlines()[-1] == "not_exists"

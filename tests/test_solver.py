@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -59,23 +60,34 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
 CSV_LENGTHS = [1, 2, 1023, 1024, 1025, 2049]
 
 
+@dataclass(frozen=True)
+class GivenDefectProfile(RadialProfile):
+    """A profile whose `cell_defects()` is a given column, so the CSV writer
+    sees arbitrary floats in the defect column too."""
+
+    given_defects: np.ndarray = None
+
+    def cell_defects(self):
+        return self.given_defects
+
+
 @st.composite
 def raw_profiles(draw):
     """RadialProfiles built directly from arbitrary float64 columns (not
-    solver output: nothing is validated), with a given defect."""
+    solver output: nothing is validated), with a given defect column."""
     m = draw(st.sampled_from(CSV_LENGTHS) | st.integers(1, 40))
     values = st.floats() | st.sampled_from(SPECIAL_FLOATS)
     cols = [draw(arrays(np.float64, m, elements=values)) for _ in range(4)]
     defect = draw(arrays(np.float64, m - 1, elements=values))
-    return RadialProfile(*cols, ProblemParams(2, 1, 0.0), CONST1,
-                         defect=defect)
+    return GivenDefectProfile(*cols, ProblemParams(2, 1, 0.0), CONST1,
+                              given_defects=defect)
 
 
 def _cycled_profile(m):
     cycle = SPECIAL_FLOATS + [math.nan, math.inf, -math.inf]
     cols = [np.resize(np.roll(cycle, i), m) for i in range(5)]
-    return RadialProfile(*cols[:4], ProblemParams(2, 1, 0.0), CONST1,
-                         defect=cols[4][1:])
+    return GivenDefectProfile(*cols[:4], ProblemParams(2, 1, 0.0), CONST1,
+                              given_defects=cols[4][1:])
 
 
 class TestEulerBreakLine:
