@@ -13,6 +13,7 @@ by parameter tuple.
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -80,6 +81,8 @@ def _open_out(path: str | None):
             yield fh
 
 
+# parsing leaves the parser as it was, so one tree serves every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hessian-radial", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

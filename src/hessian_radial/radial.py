@@ -9,8 +9,9 @@ turns the radial problem into a Volterra integral equation
                e^(n mu s) s^(n-1) (1+mu s)^(1-k) f(phi(s))^k ds )^(1/k)
 
 whose pieces live here.  All functions accept scalars or ndarrays where it
-matters for the solver; the break-line walk (solver._walk) inlines its own
-scalar form of G and phi', equal to these bit for bit.
+matters for the solver; the break-line walk (solver._walk) forms G and phi'
+from node arrays and plain floats in their evaluation order, equal to these
+bit for bit.
 """
 
 import math
@@ -201,7 +202,7 @@ def ddphi_from_ode(p: ProblemParams, f, r: float, phi: float,
     """
     if r <= 0:
         raise ValueError(f"ddphi_from_ode needs r > 0, got {r}")
-    w = (1.0 + p.mu * r) / r * dphi
+    _, w = _radial_pair(p, r, dphi, 0.0)
     denom = binom(p.n - 1, p.k - 1) * w ** (p.k - 1)
     if denom == 0.0:
         raise ZeroDivisionError(

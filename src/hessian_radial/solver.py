@@ -10,8 +10,11 @@ Two routes to the same fixed point:
 
 One walker, :func:`_walk`, carries the break line node by node in plain
 floats, on fixed nodes for :func:`euler_break_line` and with an adaptive
-step for :func:`detect_blowup`; its step inlines the scalar form of the
-array layers that Picard runs on whole arrays, equal to them bit for bit.
+step for :func:`detect_blowup`.  It forms the terms that depend only on the
+nodes, the cell weights among them, once per chunk of nodes as arrays, and
+the terms that depend on phi one step at a time, in the evaluation order of
+the array layers that Picard runs on whole arrays and equal to them bit for
+bit.
 
 The Volterra accumulation uses a product-trapezoid rule: the integrand is
 split as s^(n-1) * G(s) with G smooth down to s = 0, G is interpolated
@@ -24,6 +27,7 @@ leading-order behaviour of the first cells is captured.
 import json
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -52,6 +56,11 @@ _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 # log(DBL_MAX): numpy's exp is finite up to here and overflows one ulp above,
 # where the walk returns +inf itself and so raises no overflow warning
 _LOG_DBL_MAX = 709.782712893384
+
+# steps per walk chunk, whose node-only terms are computed as arrays: long
+# enough to amortise the array calls, short enough to waste little past a
+# blow-up or a halving
+_WALK_CHUNK = 512
 
 
 class NonConvergenceError(RuntimeError):
@@ -196,7 +205,7 @@ def _cell_weights(s0, s1, n: int):
 
 def _cell_increment(s0: float, s1: float, G0: float, G1: float, n: int) -> float:
     """Integral over [s0, s1] of s^(n-1) times the linear interpolant of G:
-    the tests' scalar reference for the walk's inlined quadrature."""
+    the tests' scalar reference for the cell quadrature."""
     A, B = _cell_weights(s0, s1, n)
     return A * G0 + B * G1
 
@@ -250,7 +259,8 @@ def _require_solvable(p: ProblemParams, a: float, r_end: float,
 
 
 def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
-          h: float, nodes: list | None = None, phi_cap: float = math.inf):
+          h: float, nodes: np.ndarray | None = None,
+          phi_cap: float = math.inf):
     """The break line from (0, a) to r_end in plain floats.  With `nodes`
     it visits exactly those radii and ends after the first non-finite node;
     otherwise it steps by h, halving it while the predicted increment exceeds
@@ -258,16 +268,20 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     below h * 2^-40; phi moves by dphi times the node spacing.  Returns the
     columns (r, phi, dphi, I) and the blow-up bracket, None at r_end.
 
-    The step inlines the scalar forms of :func:`_smooth_factor` (log domain:
-    the walk runs only where 1 + mu s > 0 or k = 1), :func:`_cell_weights`
-    (coefficients bound once) and :func:`dphi_from_integral`, in their
-    evaluation order and with numpy's exp and log (math's differ in the last
-    bit on some hosts), so the columns agree with those layers bit for bit.
-    G at the origin comes from the array layer itself.
+    The nodes go in chunks of up to _WALK_CHUNK steps: a chunk is a slice of
+    `nodes`, or the adaptive nodes r, r + h, r + 2h, ... summed in the order
+    of r + step, ending before a clamped last step and at the first halving.
+    The terms of G and phi' that depend only on the nodes, and the cell
+    weights from :func:`_cell_weights` itself, are computed once per chunk
+    as arrays; the per-step loop adds the terms that depend on phi.  Both
+    follow the evaluation order of :func:`_smooth_factor` (log domain: the
+    walk runs only where 1 + mu s > 0 or k = 1) and
+    :func:`dphi_from_integral`, with numpy's exp and log (math's differ in
+    the last bit on some hosts), so the columns agree with those layers bit
+    for bit.  G at the origin comes from the array layer itself.
     """
     n, k, mu = p.n, p.k, p.mu
-    n_mu, k_n, one_k, nn1 = n * mu, k - n, 1.0 - k, n * (n + 1)
-    coefs = [(float(n - i), float(i + 1)) for i in range(n)]
+    n_mu, k_n, one_k = n * mu, k - n, 1.0 - k
     # (1 - k) log(1 + mu s) is +-0.0 at mu = 0, so skipping it there is exact
     bent = k >= 2 and mu != 0.0
     logc = math.log(k) - math.log(binom(n - 1, k - 1))
@@ -275,19 +289,16 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     exp, log, isfinite, inf = np.exp, np.log, math.isfinite, math.inf
     step_cap = max(1.0, 0.01 * phi_cap)
     h_min = h * 2.0 ** -40
+    tail = 1e-12 * r_end
     r, phi, dphi, I = 0.0, float(a), 0.0, 0.0
     G = float(_smooth_factor(p, f, r, phi))
     rs, phis, dphis, Is = [r], [phi], [dphi], [I]
-    bracket = None
+    columns = rs, phis, dphis, Is
     # sizes given as numpy scalars make the arithmetic numpy's, and overflow
     # is deliberate here: a column running to +inf signals blow-up
     with np.errstate(over="ignore", invalid="ignore"):
-        while r_end - r > 1e-12 * r_end:
-            if nodes is not None:
-                if not dphi < inf:
-                    break
-                r_new = nodes[len(rs)]
-            else:
+        while r_end - r > tail:
+            if nodes is None:
                 h_entry = h
                 step = min(h, r_end - r)
                 while not (isfinite(dphi * step) and dphi * step <= step_cap):
@@ -296,41 +307,54 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                     if h < h_min:
                         break
                 if h < h_min:
-                    # the slope at this node defeats any representable step
-                    bracket = (r, r + h_entry)
-                    break
-                r_new = r + step
-            width = r_new - r
-            phi += dphi * width
-            if isfinite(phi):
-                logG = logc + n_mu * r_new + k * log_f(phi)
-                if bent:
-                    logG += one_k * float(log(1.0 + mu * r_new))
-                G_new = inf if logG > _LOG_DBL_MAX else float(exp(logG))
+                    # the slope at this node defeats any representable step;
+                    # the bracket is floats, like the cap-crossing one
+                    return columns, (r, float(r + h_entry))
+                chunk = np.add.accumulate([r] + [step] * _WALK_CHUNK)
+                left = r_end - chunk[:-1]
+                # steps of this size: a clamped last step starts a new chunk
+                steps = (np.minimum(h, left) == step) & (left > tail)
             else:
-                G_new = inf
-            A, B, t = 0.0, 0.0, 1.0
-            for ca, cb in coefs:
-                A = A * r + ca * t
-                B = B * r + cb * t
-                t *= r_new
-            c = width / nn1
-            I += c * A * G + c * B * G_new
-            if 0.0 <= I < inf:
-                log_I = -inf if I == 0.0 else float(log(I))
-                x = (k_n * float(log(r_new)) - n_mu * r_new + log_I) / k
-                dphi = inf if x > _LOG_DBL_MAX else float(exp(x))
-            else:
-                dphi = inf
-            rs.append(r_new)
-            phis.append(phi)
-            dphis.append(dphi)
-            Is.append(I)
-            if phi > phi_cap:
-                bracket = (r, r_new)
-                break
-            r, G = r_new, G_new
-    return (rs, phis, dphis, Is), bracket
+                i = len(rs) - 1
+                chunk = nodes[i:i + _WALK_CHUNK + 1]
+                steps = r_end - chunk[:-1] > tail
+            m = len(steps) if steps.all() else int(np.argmin(steps))
+            s0, s1 = chunk[:m], chunk[1:m + 1]
+            wA, wB = _cell_weights(s0, s1, n)
+            bends = ((one_k * np.log(1.0 + mu * s1)).tolist() if bent
+                     else repeat(0.0))
+            for r_new, width, wa, wb, logG_r, bend, x_r in zip(
+                    s1.tolist(), (s1 - s0).tolist(), wA.tolist(), wB.tolist(),
+                    (logc + n_mu * s1).tolist(), bends,
+                    (k_n * np.log(s1) - n_mu * s1).tolist()):
+                if nodes is None:
+                    if not (isfinite(dphi * step) and dphi * step <= step_cap):
+                        break
+                elif not dphi < inf:
+                    return columns, None
+                phi += dphi * width
+                if isfinite(phi):
+                    logG = logG_r + k * log_f(phi)
+                    if bent:
+                        logG += bend
+                    G_new = inf if logG > _LOG_DBL_MAX else float(exp(logG))
+                else:
+                    G_new = inf
+                I += wa * G + wb * G_new
+                if 0.0 <= I < inf:
+                    log_I = -inf if I == 0.0 else float(log(I))
+                    x = (x_r + log_I) / k
+                    dphi = inf if x > _LOG_DBL_MAX else float(exp(x))
+                else:
+                    dphi = inf
+                rs.append(r_new)
+                phis.append(phi)
+                dphis.append(dphi)
+                Is.append(I)
+                if phi > phi_cap:
+                    return columns, (r, r_new)
+                r, G = r_new, G_new
+    return columns, None
 
 
 def euler_break_line(p: ProblemParams, f: Nonlinearity, a: float,
@@ -345,8 +369,7 @@ def euler_break_line(p: ProblemParams, f: Nonlinearity, a: float,
     use :func:`detect_blowup` for a proper bracket.
     """
     _require_solvable(p, a, r_end, h)
-    columns, _ = _walk(p, f, a, r_end, h,
-                       nodes=_uniform_grid(r_end, h).tolist())
+    columns, _ = _walk(p, f, a, r_end, h, nodes=_uniform_grid(r_end, h))
     return _profile_from_walk(p, f, *columns)
 
 

@@ -366,6 +366,11 @@ class TestFloatPaths:
     # differences of s^n and s^(n+1) would cancel to nothing
     @example(ProblemParams(4, 4, 0.0), "pow", 1.0, 5.0, 100, True)
     @example(ProblemParams(4, 4, 0.0), "pow", 0.5, 3.0, 60, True)
+    # more nodes than one walk chunk: fixed, adaptive to r_end, and adaptive
+    # with halvings past the first chunk up to a blow-up
+    @example(ProblemParams(3, 2, 0.4), "custom", 0.5, 3.0, 1500, False)
+    @example(ProblemParams(5, 3, 1.1), "const", 1.0, 2.0, 1300, True)
+    @example(ProblemParams(3, 2, 0.2), "pow", 0.5, 5.0, 2000, True)
     @settings(max_examples=200, deadline=None)
     def test_walk_matches_array_layers(self, p, family, a, r_end, m,
                                        adaptive):
