@@ -16,6 +16,7 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -39,6 +40,11 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -5e-05 and -0.5:0:2 are values (argparse < 3.13 reads only -1.5)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # keep exit code 2 reserved for admissibility rejections
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -27,8 +27,11 @@ _FAMILIES = ("const", "exp", "pow", "custom")
 class Nonlinearity:
     """A positive source term t -> f(t).
 
-    Custom callbacks must be reentrant; `degenerate_at_nonpositive` is trusted,
-    not proved (use :func:`audit_monotone_positive` for a sampling check).
+    Custom callbacks must be reentrant and pure: the break-line walk
+    evaluates f at a node once per sweep of its window, several times in
+    all, and needs the same value each time.  `degenerate_at_nonpositive`
+    is trusted, not proved (use :func:`audit_monotone_positive` for a
+    sampling check).
     """
 
     family: str
@@ -118,26 +121,6 @@ class Nonlinearity:
             out[mask] = np.log(vals[mask])
         return float(out[0]) if scalar else out.reshape(np.shape(t))
 
-    def _float_log(self) -> Callable[[float], float]:
-        """log f as a function of one float, for the break-line walk: the
-        scalar form of :meth:`log_eval`, equal to it bit for bit."""
-        q = self.param
-        if self.family == "const":
-            log_c = float(np.log(q))
-            return lambda t: log_c
-        if self.family == "exp":
-            return lambda t: q * t
-        if self.family == "pow":
-            return lambda t: q * float(np.log(t)) if t > 0 else -math.inf
-        fn = self.fn
-
-        def log_custom(t):
-            v = float(fn(float(t)))
-            if v < 0:
-                raise ValueError("custom nonlinearity takes negative values")
-            return float(np.log(v)) if v > 0 else -math.inf
-        return log_custom
-
     def pow_k(self, t, k: int):
         """f(t)^k via exp(k * log f(t)); exactly 0 where f vanishes."""
         if k < 1:
@@ -174,15 +157,6 @@ class AuditReport:
     monotone_ok: bool
     degenerate_flagged: bool
     violations: list
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "positivity_ok": self.positivity_ok,
-            "monotone_ok": self.monotone_ok,
-            "degenerate_flagged": self.degenerate_flagged,
-            "violations": self.violations,
-        }
 
 
 def audit_monotone_positive(f: Nonlinearity, t_lo: float, t_hi: float,

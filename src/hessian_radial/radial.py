@@ -10,8 +10,7 @@ turns the radial problem into a Volterra integral equation
 
 whose pieces live here.  All functions accept scalars or ndarrays where it
 matters for the solver; the break-line walk (solver._walk) forms G and phi'
-from node arrays and plain floats in their evaluation order, equal to these
-bit for bit.
+on windows of nodes in their evaluation order, equal to these bit for bit.
 """
 
 import math

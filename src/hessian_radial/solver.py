@@ -8,13 +8,12 @@ Two routes to the same fixed point:
 * :func:`picard_solve` -- fixed-point iteration of the integral operator on a
   fixed grid, starting from the constant initial value.
 
-One walker, :func:`_walk`, carries the break line node by node in plain
-floats, on fixed nodes for :func:`euler_break_line` and with an adaptive
-step for :func:`detect_blowup`.  It forms the terms that depend only on the
-nodes, the cell weights among them, once per chunk of nodes as arrays, and
-the terms that depend on phi one step at a time, in the evaluation order of
-the array layers that Picard runs on whole arrays and equal to them bit for
-bit.
+One walker, :func:`_walk`, carries the break line, on fixed nodes for
+:func:`euler_break_line` and with an adaptive step for :func:`detect_blowup`,
+a window of nodes at a time: it sweeps the window's lower-triangular
+recurrence on arrays, with the ufuncs of Picard's layers in their order,
+until phi is bitwise unchanged, which is the step-by-step walk bit for bit
+(waveform relaxation: Lelarasmee, Ruehli & Sangiovanni-Vincentelli, 1982).
 
 The Volterra accumulation uses a product-trapezoid rule: the integrand is
 split as s^(n-1) * G(s) with G smooth down to s = 0, G is interpolated
@@ -26,8 +25,8 @@ leading-order behaviour of the first cells is captured.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -53,14 +52,10 @@ ADMISSIBILITY_FAILURE = "admissibility_failure"
 _CSV_BLOCK_ROWS = 1024
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
-# log(DBL_MAX): numpy's exp is finite up to here and overflows one ulp above,
-# where the walk returns +inf itself and so raises no overflow warning
-_LOG_DBL_MAX = 709.782712893384
-
-# steps per walk chunk, whose node-only terms are computed as arrays: long
-# enough to amortise the array calls, short enough to waste little past a
-# blow-up or a halving
-_WALK_CHUNK = 512
+# walk window lengths, and the sweeps up to which a window doubles and past
+# which it is cut and halves (a sweep's fixed cost is that of ~700 nodes)
+_WINDOW_MIN, _WINDOW_MAX = 32, 2048
+_FEW_SWEEPS, _MANY_SWEEPS = 10, 16
 
 
 class NonConvergenceError(RuntimeError):
@@ -95,10 +90,6 @@ class RadialProfile:
     @property
     def a(self) -> float:
         return float(self.phi[0])
-
-    @property
-    def r_end(self) -> float:
-        return float(self.grid[-1])
 
     def validate(self) -> None:
         g, phi, dphi, I = self.grid, self.phi, self.dphi, self.volterra
@@ -261,100 +252,132 @@ def _require_solvable(p: ProblemParams, a: float, r_end: float,
 def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
           h: float, nodes: np.ndarray | None = None,
           phi_cap: float = math.inf):
-    """The break line from (0, a) to r_end in plain floats.  With `nodes`
-    it visits exactly those radii and ends after the first non-finite node;
-    otherwise it steps by h, halving it while the predicted increment exceeds
+    """The break line from (0, a) to r_end.  With `nodes` it visits exactly
+    those radii and ends after the first non-finite dphi; otherwise it steps
+    by h, halving it while the predicted increment exceeds
     max(1, 0.01 * phi_cap), and ends at blow-up: phi above phi_cap or a step
     below h * 2^-40; phi moves by dphi times the node spacing.  Returns the
-    columns (r, phi, dphi, I) and the blow-up bracket, None at r_end.
+    columns (r, phi, dphi, I) as rows and the blow-up bracket, None at r_end.
 
-    The nodes go in chunks of up to _WALK_CHUNK steps: a chunk is a slice of
-    `nodes`, or the adaptive nodes r, r + h, r + 2h, ... summed in the order
-    of r + step, ending before a clamped last step and at the first halving.
-    The terms of G and phi' that depend only on the nodes, and the cell
-    weights from :func:`_cell_weights` itself, are computed once per chunk
-    as arrays; the per-step loop adds the terms that depend on phi.  Both
-    follow the evaluation order of :func:`_smooth_factor` (log domain: the
-    walk runs only where 1 + mu s > 0 or k = 1) and
-    :func:`dphi_from_integral`, with numpy's exp and log (math's differ in
-    the last bit on some hosts), so the columns agree with those layers bit
-    for bit.  G at the origin comes from the array layer itself.
+    The nodes go in windows settled by :func:`_settle_window`: slices of
+    `nodes`, or r, r + h, ... summed as r + step up to a clamped last step,
+    _WINDOW_MIN long at first and after a halving, resized by their sweeps.
     """
-    n, k, mu = p.n, p.k, p.mu
-    n_mu, k_n, one_k = n * mu, k - n, 1.0 - k
-    # (1 - k) log(1 + mu s) is +-0.0 at mu = 0, so skipping it there is exact
-    bent = k >= 2 and mu != 0.0
-    logc = math.log(k) - math.log(binom(n - 1, k - 1))
-    log_f = f._float_log()
-    exp, log, isfinite, inf = np.exp, np.log, math.isfinite, math.inf
-    step_cap = max(1.0, 0.01 * phi_cap)
-    h_min = h * 2.0 ** -40
-    tail = 1e-12 * r_end
+    # dphi * step passes the halving test iff it is finite and <= the cap;
+    # on fixed nodes (step 1) the walk stops where dphi is not finite
+    step, step_cap = 1.0, sys.float_info.max
+    if nodes is None:
+        step_cap = min(max(1.0, 0.01 * phi_cap), step_cap)
+    h_min, tail = h * 2.0 ** -40, 1e-12 * r_end
     r, phi, dphi, I = 0.0, float(a), 0.0, 0.0
     G = float(_smooth_factor(p, f, r, phi))
-    rs, phis, dphis, Is = [r], [phi], [dphi], [I]
-    columns = rs, phis, dphis, Is
+    columns = [np.array([[r], [phi], [dphi], [I]])]
+    bracket, size, j = None, _WINDOW_MIN, 0
     # sizes given as numpy scalars make the arithmetic numpy's, and overflow
     # is deliberate here: a column running to +inf signals blow-up
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while r_end - r > tail:
             if nodes is None:
                 h_entry = h
                 step = min(h, r_end - r)
-                while not (isfinite(dphi * step) and dphi * step <= step_cap):
-                    h /= 2.0
+                while not dphi * step <= step_cap and h >= h_min:
+                    h, size = h / 2.0, _WINDOW_MIN
                     step = min(h, r_end - r)
-                    if h < h_min:
-                        break
-                if h < h_min:
-                    # the slope at this node defeats any representable step;
-                    # the bracket is floats, like the cap-crossing one
-                    return columns, (r, float(r + h_entry))
-                chunk = np.add.accumulate([r] + [step] * _WALK_CHUNK)
-                left = r_end - chunk[:-1]
-                # steps of this size: a clamped last step starts a new chunk
+                if h < h_min:  # no representable step tames the slope
+                    bracket = (r, float(r + h_entry))
+                    break
+                s = np.concatenate(([r], np.full(size, step)))
+                np.add.accumulate(s, out=s)
+                left = r_end - s[:-1]
+                # steps of this size: a clamped last step starts a new window
                 steps = (np.minimum(h, left) == step) & (left > tail)
             else:
-                i = len(rs) - 1
-                chunk = nodes[i:i + _WALK_CHUNK + 1]
-                steps = r_end - chunk[:-1] > tail
+                s = nodes[j:j + size + 1]
+                steps = r_end - s[:-1] > tail
             m = len(steps) if steps.all() else int(np.argmin(steps))
-            s0, s1 = chunk[:m], chunk[1:m + 1]
-            wA, wB = _cell_weights(s0, s1, n)
-            bends = ((one_k * np.log(1.0 + mu * s1)).tolist() if bent
-                     else repeat(0.0))
-            for r_new, width, wa, wb, logG_r, bend, x_r in zip(
-                    s1.tolist(), (s1 - s0).tolist(), wA.tolist(), wB.tolist(),
-                    (logc + n_mu * s1).tolist(), bends,
-                    (k_n * np.log(s1) - n_mu * s1).tolist()):
-                if nodes is None:
-                    if not (isfinite(dphi * step) and dphi * step <= step_cap):
-                        break
-                elif not dphi < inf:
-                    return columns, None
-                phi += dphi * width
-                if isfinite(phi):
-                    logG = logG_r + k * log_f(phi)
-                    if bent:
-                        logG += bend
-                    G_new = inf if logG > _LOG_DBL_MAX else float(exp(logG))
-                else:
-                    G_new = inf
-                I += wa * G + wb * G_new
-                if 0.0 <= I < inf:
-                    log_I = -inf if I == 0.0 else float(log(I))
-                    x = (x_r + log_I) / k
-                    dphi = inf if x > _LOG_DBL_MAX else float(exp(x))
-                else:
-                    dphi = inf
-                rs.append(r_new)
-                phis.append(phi)
-                dphis.append(dphi)
-                Is.append(I)
-                if phi > phi_cap:
-                    return columns, (r, r_new)
-                r, G = r_new, G_new
-    return columns, None
+            sweeps, rows = _settle_window(p, f, s[:m + 1], G, I, dphi, phi,
+                                          phi_cap, step, step_cap)
+            columns.append(rows[:4, 1:])
+            r, phi, dphi, I, G = rows[:, -1].tolist()
+            if phi > phi_cap:
+                bracket = tuple(rows[0, -2:].tolist())
+                break
+            if nodes is not None and not dphi < math.inf:
+                break
+            j += rows.shape[1] - 1
+            if sweeps <= _FEW_SWEEPS:
+                size = min(2 * size, _WINDOW_MAX)
+            elif sweeps > _MANY_SWEEPS:
+                size = max(size // 2, _WINDOW_MIN)
+    return np.concatenate(columns, axis=1), bracket
+
+
+def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
+                   G: float, I: float, dphi: float, phi: float,
+                   phi_cap: float, step: float, step_cap: float):
+    """The break line on the nodes s[0] < ... < s[m] from the state at s[0],
+    swept to a bitwise fixed point.  A sweep runs the recurrence on arrays
+    (log f(phi) -> G -> I by running sum -> phi' -> phi by running sum with
+    the slope frozen at the left node) in the order of :func:`_smooth_factor`
+    and :func:`dphi_from_integral`.  Node j+1 of a sweep depends only on
+    nodes <= j of the sweep before, so the nodes before the first one whose
+    phi a sweep moved hold the one-step walk's values bit for bit, one more
+    at least each sweep.  Returns the sweeps and the rows (r, phi, dphi, I,
+    G) up to the first node where phi > phi_cap or dphi * step > step_cap,
+    else to s[m] or, after _MANY_SWEEPS sweeps, the last settled node.
+    """
+    n, k, mu = p.n, p.k, p.mu
+    s0, s1, m = s[:-1], s[1:], len(s) - 1
+    wA, wB = _cell_weights(s0, s1, n)
+    width = s1 - s0
+    logG_r = math.log(k) - math.log(binom(n - 1, k - 1)) + n * mu * s1
+    # (1 - k) log(1 + mu s) is +-0.0 at mu = 0, so skipping it there is exact
+    bend = (1.0 - k) * np.log(1.0 + mu * s1) if k >= 2 and mu != 0.0 else None
+    x_r = (k - n) * np.log(s1) - n * mu * s1
+    kf, inf = float(k), math.inf
+    Gs, Is, dphis, new, old = np.empty((5, m + 1))
+    Gs[0], Is[0], dphis[0], new[0], old[0] = G, I, dphi, phi, phi
+    np.multiply(dphi, width, out=new[1:])  # first guess: slope frozen
+    np.add.accumulate(new, out=new)
+    lo = 0  # the last settled node
+    for sweep in range(1, m + 2):
+        old, new = new, old
+        phis = old[lo + 1:]
+        G1, I1, D1 = Gs[lo + 1:], Is[lo + 1:], dphis[lo + 1:]
+        # phi never decreases, so only a tail of it can be +inf, where G is
+        # +inf and f is not evaluated
+        fin = m - lo if phis[-1] < inf else int(np.argmin(phis < inf))
+        logG = f.log_eval(phis[:fin]) * kf + logG_r[lo:lo + fin]
+        if bend is not None:
+            logG += bend[lo:lo + fin]
+        np.exp(logG, out=G1[:fin])
+        G1[fin:] = inf
+        np.multiply(wB[lo:], G1, out=I1)
+        I1 += wA[lo:] * Gs[lo:-1]
+        np.add.accumulate(Is[lo:], out=Is[lo:])
+        np.log(I1, out=D1)
+        D1 += x_r[lo:]
+        D1 /= kf
+        np.exp(D1, out=D1)
+        if not Is[-1] < inf:
+            D1[~(I1 < inf)] = inf
+        np.multiply(dphis[lo:-1], width[lo:], out=new[lo + 1:])
+        np.add.accumulate(new[lo:], out=new[lo:])
+        moved = new[lo + 1:].view(np.int64) != old[lo + 1:].view(np.int64)
+        first = int(moved.argmax())
+        settled = lo + 1 + first if moved[first] else m + 1
+        # done when all settled or past _MANY_SWEEPS, or at a settled stop
+        phis, slopes = new[lo + 1:settled], D1[:settled - lo - 1]
+        end = settled - 1 if settled > m or sweep > _MANY_SWEEPS else None
+        if len(phis) and not (slopes.max() * step <= step_cap
+                              and phis[-1] <= phi_cap):
+            stops = (phis > phi_cap) | ~(slopes * step <= step_cap)
+            end = lo + 1 + int(stops.argmax())
+        if end is not None:
+            return sweep, np.array([s, new, dphis, Is, Gs])[:, :end + 1]
+        lo = settled - 1
+    raise RuntimeError(f"the break line over [{s[0]}, {s[-1]}] found no "
+                       f"fixed point in {m + 1} sweeps: is f pure?")
 
 
 def euler_break_line(p: ProblemParams, f: Nonlinearity, a: float,
@@ -370,7 +393,7 @@ def euler_break_line(p: ProblemParams, f: Nonlinearity, a: float,
     """
     _require_solvable(p, a, r_end, h)
     columns, _ = _walk(p, f, a, r_end, h, nodes=_uniform_grid(r_end, h))
-    return _profile_from_walk(p, f, *columns)
+    return _profile_from_walk(p, f, columns)
 
 
 def picard_solve(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
@@ -438,7 +461,7 @@ def epsilon_defect(profile: RadialProfile) -> float:
 def _blowup_walk(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
                  phi_cap: float, h0: float) -> BlowupReport:
     columns, bracket = _walk(p, f, a, r_max, h0, phi_cap=phi_cap)
-    profile = _profile_from_walk(p, f, *columns)
+    profile = _profile_from_walk(p, f, columns)
     if bracket is None:
         return BlowupReport(GLOBAL, r_max, profile=profile)
     lo, hi = bracket
@@ -446,13 +469,11 @@ def _blowup_walk(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
                         bracket=bracket, profile=profile)
 
 
-def _profile_from_walk(p, f, rs, phis, dphis, Is) -> RadialProfile:
-    arrs = tuple(np.asarray(col, dtype=float) for col in (rs, phis, dphis, Is))
-    finite = np.all([np.isfinite(c) for c in arrs], axis=0)
-    end = len(rs) if finite.all() else int(np.argmin(finite))
-    truncated_at = float(rs[end]) if end < len(rs) else None
-    profile = RadialProfile(*(c[:end] for c in arrs), p, f,
-                            truncated_at=truncated_at)
+def _profile_from_walk(p, f, columns) -> RadialProfile:
+    finite = np.isfinite(columns).all(axis=0)
+    end = len(finite) if finite.all() else int(np.argmin(finite))
+    truncated_at = float(columns[0, end]) if end < len(finite) else None
+    profile = RadialProfile(*columns[:, :end], p, f, truncated_at=truncated_at)
     profile.validate()
     return profile
 

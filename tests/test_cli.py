@@ -1,5 +1,6 @@
 """CLI commands, exit codes and deterministic outputs."""
 
+import hashlib
 import io
 import json
 import math
@@ -341,3 +342,50 @@ class TestUsage:
         code, _, err = run(capsys, "ko", "--k", "1", "--f", "tan:1")
         assert code == 64
         assert "invalid configuration" in err
+
+
+class TestNegativeNumbers:
+    """A negative value in exponent notation, or a negative grid start, is
+    the option's value, as in the --opt=value form."""
+
+    @pytest.mark.parametrize("argv", [
+        ("ko", "--k", "1", "--f", "exp:1", "--n", "3", "--mu", "-5e-05"),
+        ("solve", "--n", "2", "--k", "1", "--mu", "-1E-3", "--f", "const:1",
+         "--a", "0", "--r-end", "0.01"),
+        ("sweep", "--n", "2", "--k", "1", "--f", "exp:1", "--a", "0",
+         "--mu", "-0.5:0:2", "--r-max", "1", "--h", "1e-2"),
+        ("solve", "--n", "2", "--k", "1", "--mu", "0", "--f", "const:1",
+         "--a", "-2.5e-1", "--r-end", "0.01"),
+    ])
+    def test_same_as_the_equals_form(self, capsys, argv):
+        i = next(i for i, v in enumerate(argv) if v.startswith("-")
+                 and v[1:2].isdigit())
+        joined = argv[:i - 1] + (f"{argv[i - 1]}={argv[i]}",) + argv[i + 1:]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == run(capsys, *joined)
+        assert code == 0 and out and err == ""
+
+
+class TestGoldenOutput:
+    """sha256 of CLI output computed before the walk ran in windows, with
+    numpy 2.4.6 on x86-64 (AVX-512): a speed-up must leave these bytes as
+    they are.  A host whose numpy exp or log rounds differently in the last
+    bit can print other digits."""
+
+    def test_sweep_csv(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--n", "3", "--k", "2",
+                         "--f", "exp:0.5:1.5:3", "--a", "0:1:2",
+                         "--mu", "0:0.4:2", "--r-max", "8", "--h", "2e-3",
+                         "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "89fd455e7bd1542fa4f9040c6404ad533337ab00f2ce7c74651876ae93cbce1a")
+
+    def test_solve_falling_back_to_the_blowup_walk(self, capsys):
+        code, out, err = run(capsys, "solve", "--n", "4", "--k", "4",
+                             "--mu", "0", "--f", "pow:2.5", "--a", "0.5",
+                             "--r-end", "5", "--h", "1e-3")
+        assert code == 3 and out == ""
+        assert hashlib.sha256(err.encode()).hexdigest() == (
+            "53bed3cd639c5d6e9a10d8d69143d4994e51631d47d4afd60b8122e2f4163f8d")
