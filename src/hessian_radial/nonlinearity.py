@@ -29,7 +29,10 @@ class Nonlinearity:
 
     Custom callbacks must be reentrant and pure: the break-line walk
     evaluates f at a node once per sweep of its window, several times in
-    all, and needs the same value each time.  `degenerate_at_nonpositive`
+    all, and needs the same value each time.  They must return a float, inf
+    allowed, at every finite argument: the walk also evaluates f at the
+    iterates of a window's unsettled part, finite values that can lie far
+    beyond any phi the walk keeps.  `degenerate_at_nonpositive`
     is trusted, not proved (use :func:`audit_monotone_positive` for a
     sampling check).
     """
@@ -108,6 +111,8 @@ class Nonlinearity:
             out = np.full_like(tt, np.log(self.param))
         elif self.family == "exp":
             out = self.param * tt
+        elif self.family == "pow" and (tt > 0).all():
+            out = self.param * np.log(tt)
         elif self.family == "pow":
             out = np.full_like(tt, -np.inf)
             mask = tt > 0

@@ -12,8 +12,9 @@ One walker, :func:`_walk`, carries the break line, on fixed nodes for
 :func:`euler_break_line` and with an adaptive step for :func:`detect_blowup`,
 a window of nodes at a time: it sweeps the window's lower-triangular
 recurrence on arrays, with the ufuncs of Picard's layers in their order,
-until phi is bitwise unchanged, which is the step-by-step walk bit for bit
-(waveform relaxation: Lelarasmee, Ruehli & Sangiovanni-Vincentelli, 1982).
+until the log f(phi) a sweep reads is bitwise unchanged, which is the
+step-by-step walk bit for bit (waveform relaxation: Lelarasmee, Ruehli &
+Sangiovanni-Vincentelli, 1982).
 
 The Volterra accumulation uses a product-trapezoid rule: the integrand is
 split as s^(n-1) * G(s) with G smooth down to s = 0, G is interpolated
@@ -53,9 +54,11 @@ _CSV_BLOCK_ROWS = 1024
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 # walk window lengths, and the sweeps up to which a window doubles and past
-# which it is cut and halves (a sweep's fixed cost is that of ~700 nodes)
+# which it is cut and halves (a sweep's fixed cost is that of ~700 nodes);
+# the largest lam * (span in r) of a window, lam the growth rate of dphi
 _WINDOW_MIN, _WINDOW_MAX = 32, 2048
 _FEW_SWEEPS, _MANY_SWEEPS = 10, 16
+_GROWTH_SPAN = 3.0
 
 
 class NonConvergenceError(RuntimeError):
@@ -262,6 +265,10 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     The nodes go in windows settled by :func:`_settle_window`: slices of
     `nodes`, or r, r + h, ... summed as r + step up to a clamped last step,
     _WINDOW_MIN long at first and after a halving, resized by their sweeps.
+    lam, the growth rate of dphi over the last cell kept (0 after a
+    halving), seeds the next window's first guess.  A window not following
+    a cut one spans at most _GROWTH_SPAN / lam in r, or _WINDOW_MIN nodes;
+    one longer than that starts from the frozen slope instead.
     """
     # dphi * step passes the halving test iff it is finite and <= the cap;
     # on fixed nodes (step 1) the walk stops where dphi is not finite
@@ -272,7 +279,7 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     r, phi, dphi, I = 0.0, float(a), 0.0, 0.0
     G = float(_smooth_factor(p, f, r, phi))
     columns = [np.array([[r], [phi], [dphi], [I]])]
-    bracket, size, j = None, _WINDOW_MIN, 0
+    bracket, size, j, lam = None, _WINDOW_MIN, 0, 0.0
     # sizes given as numpy scalars make the arithmetic numpy's, and overflow
     # is deliberate here: a column running to +inf signals blow-up
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -281,7 +288,7 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                 h_entry = h
                 step = min(h, r_end - r)
                 while not dphi * step <= step_cap and h >= h_min:
-                    h, size = h / 2.0, _WINDOW_MIN
+                    h, size, lam = h / 2.0, _WINDOW_MIN, 0.0
                     step = min(h, r_end - r)
                 if h < h_min:  # no representable step tames the slope
                     bracket = (r, float(r + h_entry))
@@ -295,8 +302,9 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                 s = nodes[j:j + size + 1]
                 steps = r_end - s[:-1] > tail
             m = len(steps) if steps.all() else int(np.argmin(steps))
+            guess = lam if lam * h * size <= _GROWTH_SPAN else 0.0
             sweeps, rows = _settle_window(p, f, s[:m + 1], G, I, dphi, phi,
-                                          phi_cap, step, step_cap)
+                                          phi_cap, step, step_cap, guess)
             columns.append(rows[:4, 1:])
             r, phi, dphi, I, G = rows[:, -1].tolist()
             if phi > phi_cap:
@@ -304,27 +312,38 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                 break
             if nodes is not None and not dphi < math.inf:
                 break
+            # growth over the last cell: in (0, inf], or 0 where dphi does
+            # not grow
+            r0, d0 = rows[0, -2], rows[2, -2]
+            lam = np.log(dphi / d0) / (r - r0) if 0 < d0 < dphi < math.inf \
+                else 0.0
             j += rows.shape[1] - 1
             if sweeps <= _FEW_SWEEPS:
                 size = min(2 * size, _WINDOW_MAX)
             elif sweeps > _MANY_SWEEPS:
                 size = max(size // 2, _WINDOW_MIN)
+            if sweeps <= _MANY_SWEEPS and lam * h * size > _GROWTH_SPAN:
+                size = max(int(_GROWTH_SPAN / (lam * h)), _WINDOW_MIN)
     return np.concatenate(columns, axis=1), bracket
 
 
 def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
                    G: float, I: float, dphi: float, phi: float,
-                   phi_cap: float, step: float, step_cap: float):
+                   phi_cap: float, step: float, step_cap: float,
+                   lam: float):
     """The break line on the nodes s[0] < ... < s[m] from the state at s[0],
     swept to a bitwise fixed point.  A sweep runs the recurrence on arrays
     (log f(phi) -> G -> I by running sum -> phi' -> phi by running sum with
     the slope frozen at the left node) in the order of :func:`_smooth_factor`
-    and :func:`dphi_from_integral`.  Node j+1 of a sweep depends only on
-    nodes <= j of the sweep before, so the nodes before the first one whose
-    phi a sweep moved hold the one-step walk's values bit for bit, one more
-    at least each sweep.  Returns the sweeps and the rows (r, phi, dphi, I,
-    G) up to the first node where phi > phi_cap or dphi * step > step_cap,
-    else to s[m] or, after _MANY_SWEEPS sweeps, the last settled node.
+    and :func:`dphi_from_integral`, and rewrites phi in place.  It reads phi
+    only through log f, or as the +inf tail where f is not evaluated, and
+    node j+1 depends only on that input at nodes <= j; so the nodes before
+    the first whose input the next sweep would change hold the one-step
+    walk's values bit for bit, one more at least each sweep.  The first
+    guess has the slope dphi e^(lam (s - s[0])).  Returns the sweeps and the
+    rows (r, phi, dphi, I, G) up to the first node where phi > phi_cap or
+    dphi * step > step_cap, else to s[m] or, after _MANY_SWEEPS sweeps, the
+    last settled node.
     """
     n, k, mu = p.n, p.k, p.mu
     s0, s1, m = s[:-1], s[1:], len(s) - 1
@@ -335,49 +354,62 @@ def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
     bend = (1.0 - k) * np.log(1.0 + mu * s1) if k >= 2 and mu != 0.0 else None
     x_r = (k - n) * np.log(s1) - n * mu * s1
     kf, inf = float(k), math.inf
-    Gs, Is, dphis, new, old = np.empty((5, m + 1))
-    Gs[0], Is[0], dphis[0], new[0], old[0] = G, I, dphi, phi, phi
-    np.multiply(dphi, width, out=new[1:])  # first guess: slope frozen
-    np.add.accumulate(new, out=new)
-    lo = 0  # the last settled node
-    for sweep in range(1, m + 2):
-        old, new = new, old
-        phis = old[lo + 1:]
-        G1, I1, D1 = Gs[lo + 1:], Is[lo + 1:], dphis[lo + 1:]
+    Gs, Is, dphis, phis, wAG = np.empty((5, m + 1))
+    Gs[0], Is[0], dphis[0], phis[0] = G, I, dphi, phi
+    # e^0 is 1, so the first cell takes the walk's own slope
+    np.multiply(dphi * np.exp(lam * (s0 - s[0])), width, out=phis[1:])
+    np.add.accumulate(phis, out=phis)
+    lo, logf = 0, None  # the last settled node; the log f a sweep read
+    for sweep in range(m + 1):
+        ahead = phis[lo + 1:]
         # phi never decreases, so only a tail of it can be +inf, where G is
         # +inf and f is not evaluated
-        fin = m - lo if phis[-1] < inf else int(np.argmin(phis < inf))
-        logG = f.log_eval(phis[:fin]) * kf + logG_r[lo:lo + fin]
-        if bend is not None:
-            logG += bend[lo:lo + fin]
-        np.exp(logG, out=G1[:fin])
+        fin = m - lo if ahead[-1] < inf else int(np.argmin(ahead < inf))
+        new = f.log_eval(ahead[:fin])
+        if sweep:
+            # node lo + 1 was read at the walk's phi; settled ends at the
+            # first node past it whose log f or tail state changed
+            both = min(fin, len(logf))
+            same = new[1:both].view(np.int64) == logf[1:both].view(np.int64)
+            settled = (lo + 2 + int(same.argmin()) if not same.all()
+                       else m + 1 if fin == len(logf) else lo + 1 + both)
+            # done when all settled or past _MANY_SWEEPS, or at a settled stop
+            kept, slopes = phis[lo + 1:settled], dphis[lo + 1:settled]
+            end = settled - 1 if settled > m or sweep > _MANY_SWEEPS else None
+            if len(kept) and not (slopes.max() * step <= step_cap
+                                  and kept[-1] <= phi_cap):
+                stops = (kept > phi_cap) | ~(slopes * step <= step_cap)
+                end = lo + 1 + int(stops.argmax())
+            if end is not None:
+                return sweep, np.array([s, phis, dphis, Is, Gs])[:, :end + 1]
+            new, lo = new[settled - 1 - lo:], settled - 1
+        logf, fin = new, len(new)
+        G1, I1, D1 = Gs[lo + 1:], Is[lo + 1:], dphis[lo + 1:]
+        logG = G1[:fin]
+        if k == 1:
+            np.add(logf, logG_r[lo:lo + fin], out=logG)
+        else:
+            np.multiply(logf, kf, out=logG)
+            logG += logG_r[lo:lo + fin]
+            if bend is not None:
+                logG += bend[lo:lo + fin]
+        np.exp(logG, out=logG)
         G1[fin:] = inf
         np.multiply(wB[lo:], G1, out=I1)
-        I1 += wA[lo:] * Gs[lo:-1]
+        np.multiply(wA[lo:], Gs[lo:-1], out=wAG[lo + 1:])
+        I1 += wAG[lo + 1:]
         np.add.accumulate(Is[lo:], out=Is[lo:])
         np.log(I1, out=D1)
         D1 += x_r[lo:]
-        D1 /= kf
+        if k != 1:
+            D1 /= kf
         np.exp(D1, out=D1)
         if not Is[-1] < inf:
             D1[~(I1 < inf)] = inf
-        np.multiply(dphis[lo:-1], width[lo:], out=new[lo + 1:])
-        np.add.accumulate(new[lo:], out=new[lo:])
-        moved = new[lo + 1:].view(np.int64) != old[lo + 1:].view(np.int64)
-        first = int(moved.argmax())
-        settled = lo + 1 + first if moved[first] else m + 1
-        # done when all settled or past _MANY_SWEEPS, or at a settled stop
-        phis, slopes = new[lo + 1:settled], D1[:settled - lo - 1]
-        end = settled - 1 if settled > m or sweep > _MANY_SWEEPS else None
-        if len(phis) and not (slopes.max() * step <= step_cap
-                              and phis[-1] <= phi_cap):
-            stops = (phis > phi_cap) | ~(slopes * step <= step_cap)
-            end = lo + 1 + int(stops.argmax())
-        if end is not None:
-            return sweep, np.array([s, new, dphis, Is, Gs])[:, :end + 1]
-        lo = settled - 1
+        np.multiply(dphis[lo:-1], width[lo:], out=phis[lo + 1:])
+        np.add.accumulate(phis[lo:], out=phis[lo:])
     raise RuntimeError(f"the break line over [{s[0]}, {s[-1]}] found no "
-                       f"fixed point in {m + 1} sweeps: is f pure?")
+                       f"fixed point in {m} sweeps: is f pure?")
 
 
 def euler_break_line(p: ProblemParams, f: Nonlinearity, a: float,

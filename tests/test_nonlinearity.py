@@ -92,6 +92,38 @@ class TestPowK:
             Nonlinearity.constant(1.0).pow_k(0.0, 0)
 
 
+def masked_pow_log(q, t):
+    """log of t^q on t > 0 and -inf elsewhere, through a mask: the general
+    form of Nonlinearity.log_eval's pow branch."""
+    out = np.full_like(t, -np.inf)
+    mask = t > 0
+    out[mask] = q * np.log(t[mask])
+    return out
+
+
+class TestLogEval:
+    special = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-310,
+                               sys.float_info.min, math.inf, -math.inf, 1.0])
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+
+    @given(st.one_of(st.lists(st.one_of(positive, special), max_size=40),
+                     st.lists(positive, max_size=40)),
+           st.sampled_from([0.0, 0.3, 1.0, 1.2, 2.5]))
+    @settings(max_examples=400, deadline=None)
+    def test_pow_matches_masked_form(self, values, q):
+        # the all-positive fast path and the masked path give the same bits
+        t = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore"):  # 0 * log(inf)
+            got = Nonlinearity.power_cutoff(q).log_eval(t)
+            want = masked_pow_log(q, t)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_pow_zero_at_infinity_is_nan(self):
+        with np.errstate(invalid="ignore"):
+            got = Nonlinearity.power_cutoff(0.0).log_eval(np.array([math.inf]))
+        assert math.isnan(got[0])
+
+
 class TestMonotone:
     @given(ts, ts, st.sampled_from(["const:2", "exp:0.7", "pow:1.3"]))
     @settings(max_examples=300, deadline=None)

@@ -272,6 +272,44 @@ class TestChunkedWalk:
         assert math.isnan(want[0][3][-1]) and want[0][2][-1] == math.inf
         assert_same_walk(got, want)
 
+    @pytest.mark.parametrize("n, mu, c, r_end, m", [
+        (3, -1.75, 300.0, 336.0, 10), (2, -1.0238, 1.1168, 709.356, 100)])
+    def test_phi_overflows_before_its_slope(self, n, mu, c, r_end, m):
+        # mu < 0 scales phi' by e^(-n mu s): a finite slope carries phi past
+        # DBL_MAX, where G is +inf and f is not evaluated
+        got, want = both_walks(ProblemParams(n, 1, mu),
+                               Nonlinearity.constant(c), 0.0, r_end,
+                               r_end / m, True)
+        phi, dphi = want[0][1], want[0][2]
+        assert phi[-1] == math.inf and dphi[-2] < math.inf
+        assert_same_walk(got, want)
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    @pytest.mark.parametrize("f, a, turn", [
+        (Nonlinearity.exponential(0.0), -0.5, 0.0),  # log f -0.0, then 0.0
+        (Nonlinearity.power_cutoff(0.0), 0.5, 1.0),  # -0.0 below 1, then 0.0
+        (Nonlinearity.custom(lambda t: 2.0 if t < 3 else t), 0.5, 3.0),
+        (SOURCES["const"], 0.5, 1.0),  # log f never changes
+    ])
+    def test_flat_log_f(self, f, a, turn, fixed, windows):
+        # a window settles where the log f that a sweep read comes back
+        # bitwise unchanged, which happens before phi stops moving where
+        # log f is flat; phi passes `turn`, where log f changes, if at all
+        got, want = both_walks(ProblemParams(3, 1, 0.2), f, a, 4.0, 2e-3,
+                               fixed)
+        assert want[0][1][0] < turn < want[0][1][-1]
+        assert_same_walk(got, want)
+        if f.family == "const":
+            assert all(sweeps == 1 for _, sweeps, _ in windows)
+
+    def test_full_sweeps_of_a_growing_walk(self, windows):
+        # the growth-rate first guess and the growth-capped windows: 316
+        # full sweeps with a frozen-slope guess and phi as the fixed-point
+        # test, about 220 with them
+        solver.euler_break_line(ProblemParams(2, 1, 0),
+                                Nonlinearity.power_cutoff(1.0), 1.0, 50, 2e-3)
+        assert sum(sweeps for _, sweeps, _ in windows) <= 280
+
     def test_window_length_follows_halvings(self, windows):
         # computing node terms for far more nodes than the walks keep was
         # the cost of restarting every window at full length after a halving
