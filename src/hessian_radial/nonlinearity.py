@@ -27,14 +27,14 @@ _FAMILIES = ("const", "exp", "pow", "custom")
 class Nonlinearity:
     """A positive source term t -> f(t).
 
-    Custom callbacks must be reentrant and pure: the break-line walk
-    evaluates f at a node once per sweep of its window, several times in
-    all, and needs the same value each time.  They must return a float, inf
+    Custom callbacks must be reentrant and pure: the break-line walk evaluates
+    f at a node once per sweep of its window, several times in all, and needs
+    the same value each time; an impure callback is not detected, and the walk
+    returns columns that no single f gives.  They must return a float, inf
     allowed, at every finite argument: the walk also evaluates f at the
     iterates of a window's unsettled part, finite values that can lie far
-    beyond any phi the walk keeps.  `degenerate_at_nonpositive`
-    is trusted, not proved (use :func:`audit_monotone_positive` for a
-    sampling check).
+    beyond any phi the walk keeps.  `degenerate_at_nonpositive` is trusted,
+    not proved (use :func:`audit_monotone_positive` for a sampling check).
     """
 
     family: str

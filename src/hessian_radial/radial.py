@@ -8,9 +8,8 @@ turns the radial problem into a Volterra integral equation
     phi'(r) = ( r^(k-n) e^(-n mu r) int_0^r (k/C(n-1,k-1))
                e^(n mu s) s^(n-1) (1+mu s)^(1-k) f(phi(s))^k ds )^(1/k)
 
-whose pieces live here.  All functions accept scalars or ndarrays where it
-matters for the solver; the break-line walk (solver._walk) forms G and phi'
-on windows of nodes in their evaluation order, equal to these bit for bit.
+whose pieces live here, on scalars or ndarrays where the solver needs it.
+G and phi' split into radius and state parts for the pass in solver._pass.
 """
 
 import math
@@ -34,7 +33,7 @@ class AdmissibilityError(ValueError):
 
 
 class SingularityError(ValueError):
-    """Raised when the integrand factor (1 + mu s)^(1-k) hits 1 + mu s = 0
+    """Raised where the integrand factor (1 + mu s)^(1-k) meets 1 + mu s <= 0
     with k >= 2 (only reachable outside the admissible regime)."""
 
 
@@ -110,11 +109,48 @@ def sk_radial(p: ProblemParams, r: float, dphi: float, ddphi: float) -> float:
             + math.comb(p.n - 1, p.k) * w ** p.k)
 
 
-def chi(p: ProblemParams, r: float) -> float:
-    """Integrating factor exponent chi(r) = n mu r + (n-k) ln r."""
-    if r <= 0:
+def chi(p: ProblemParams, r):
+    """Integrating factor exponent chi(r) = n mu r + (n-k) ln r at radii
+    r > 0, the radius part of the slope phi'(r) = (e^(-chi(r)) I(r))^(1/k)."""
+    r_arr = np.asarray(r, dtype=float)
+    if (r_arr <= 0.0).any():
         raise ValueError(f"chi needs r > 0, got {r}")
-    return p.n * p.mu * r + (p.n - p.k) * math.log(r)
+    out = p.n * p.mu * r_arr + (p.n - p.k) * np.log(r_arr)
+    return float(out) if np.ndim(r) == 0 else out
+
+
+def _log_G_terms(p: ProblemParams, s):
+    """The radius terms of log G: log(k/C(n-1,k-1)) + n mu s, then for k >= 2
+    (1-k) log(1 + mu s), left out at mu = 0, where it is -0.0."""
+    logc = math.log(p.k) - math.log(binom(p.n - 1, p.k - 1))
+    terms = [logc + p.n * p.mu * s]
+    if p.k >= 2 and p.mu != 0.0:
+        base = 1.0 + p.mu * s
+        if np.any(base <= 0.0):
+            raise SingularityError(f"integrand factor (1 + mu s)^(1-k) "
+                                   f"needs 1 + mu s > 0 (mu={p.mu}, k={p.k})")
+        terms.append((1.0 - p.k) * np.log(base))
+    return terms
+
+
+def _G_into(k: int, logf, terms, out):
+    """G = e^(k log f + the radius terms) into `out`; the caller holds
+    np.errstate, which would cost more per call in a sweep."""
+    # k log f is log f at k = 1, where the exact product is skipped
+    np.add(logf if k == 1 else logf * float(k), terms[0], out=out)
+    for term in terms[1:]:
+        out += term
+    return np.exp(out, out=out)
+
+
+def _slope_into(k: int, chi_r, I, out):
+    """phi' = e^((log I - chi) / k) into `out`: exactly 0 at I = 0 and +inf
+    where it overflows; the caller holds np.errstate."""
+    np.log(I, out=out)
+    out -= chi_r
+    if k != 1:
+        out /= float(k)
+    return np.exp(out, out=out)
 
 
 def _smooth_factor(p: ProblemParams, f, s, phi_s):
@@ -122,27 +158,13 @@ def _smooth_factor(p: ProblemParams, f, s, phi_s):
 
     The s^(n-1) weight is deliberately excluded: the quadrature integrates it
     exactly, and G itself is smooth down to s = 0.  Computed in the log
-    domain when the (1+mu s) factor is positive (always, in the admissible
-    regime) so overflow happens only where the true value overflows.
+    domain, so overflow happens only where the true value overflows; with
+    k >= 2 it needs 1 + mu s > 0 (always, in the admissible regime).
     """
-    logc = math.log(p.k) - math.log(binom(p.n - 1, p.k - 1))
-    s = np.asarray(s, dtype=float)
-    phi_s = np.asarray(phi_s, dtype=float)
-    base = 1.0 + p.mu * s
-    if p.k >= 2 and np.any(base == 0.0):
-        raise SingularityError(
-            f"integrand singular at 1 + mu s = 0 (mu={p.mu}, k={p.k})")
-    if p.k == 1 or np.all(base > 0.0):
-        logG = logc + p.n * p.mu * s + p.k * f.log_eval(phi_s)
-        if p.k >= 2:
-            logG = logG + (1.0 - p.k) * np.log(base)
-        with np.errstate(over="ignore"):
-            return np.exp(logG)
-    # 1 + mu s < 0 somewhere with k >= 2: outside the admissible regime,
-    # but the pointwise formula is still defined away from the singularity.
+    terms = _log_G_terms(p, s)
     with np.errstate(over="ignore"):
-        return (p.k / binom(p.n - 1, p.k - 1) * np.exp(p.n * p.mu * s)
-                * base ** (1 - p.k) * f.pow_k(phi_s, p.k))
+        return _G_into(p.k, f.log_eval(phi_s), terms,
+                       np.empty(np.broadcast(s, phi_s).shape))
 
 
 def volterra_integrand(p: ProblemParams, f, s, phi_s):
@@ -164,17 +186,13 @@ def dphi_from_integral(p: ProblemParams, r, I):
     Accepts scalars or ndarrays; I = 0 maps to exactly 0 and an overflowing
     accumulated integral propagates as +inf for the blow-up detector.
     """
-    r_arr = np.asarray(r, dtype=float)
+    chi_r = chi(p, r)
     I_arr = np.asarray(I, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("dphi_from_integral needs r > 0")
     if np.any(I_arr < 0.0):
         raise ValueError("accumulated integral must be >= 0")
-    with np.errstate(divide="ignore"):
-        logv = ((p.k - p.n) * np.log(r_arr) - p.n * p.mu * r_arr
-                + np.log(I_arr)) / p.k
-    with np.errstate(over="ignore"):
-        out = np.exp(logv)
+    out = np.empty(np.broadcast(chi_r, I_arr).shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        _slope_into(p.k, chi_r, I_arr, out)
     return float(out) if (np.ndim(r) == 0 and np.ndim(I) == 0) else out
 
 

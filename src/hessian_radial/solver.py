@@ -11,10 +11,10 @@ Two routes to the same fixed point:
 One walker, :func:`_walk`, carries the break line, on fixed nodes for
 :func:`euler_break_line` and with an adaptive step for :func:`detect_blowup`,
 a window of nodes at a time: it sweeps the window's lower-triangular
-recurrence on arrays, with the ufuncs of Picard's layers in their order,
-until the log f(phi) a sweep reads is bitwise unchanged, which is the
-step-by-step walk bit for bit (waveform relaxation: Lelarasmee, Ruehli &
-Sangiovanni-Vincentelli, 1982).
+recurrence on arrays until the log f(phi) a sweep reads is bitwise
+unchanged, which is the step-by-step walk bit for bit (waveform relaxation:
+Lelarasmee, Ruehli & Sangiovanni-Vincentelli, 1982).  A sweep and a Picard
+iteration run one pass, :func:`_pass`, so each formula is written once.
 
 The Volterra accumulation uses a product-trapezoid rule: the integrand is
 split as s^(n-1) * G(s) with G smooth down to s = 0, G is interpolated
@@ -32,9 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .nonlinearity import Nonlinearity
-from .radial import (AdmissibilityError, ProblemParams, _smooth_factor,
+from .radial import (AdmissibilityError, ProblemParams, _G_into,
+                     _log_G_terms, _slope_into, _smooth_factor, chi,
                      dphi_from_integral)
-from .symmetric import binom
 
 __all__ = [
     "SCHEMA_ID", "RadialProfile", "BlowupReport", "NonConvergenceError",
@@ -210,17 +210,45 @@ def _cell_increments(grid: np.ndarray, G: np.ndarray, n: int) -> np.ndarray:
         return A * G[:-1] + B * G[1:]
 
 
+def _cells(p: ProblemParams, s: np.ndarray):
+    """:func:`_pass`'s radius parts: the cell weights, log G terms, chi."""
+    s0, s1 = s[:-1], s[1:]
+    return (*_cell_weights(s0, s1, p.n), _log_G_terms(p, s1), chi(p, s1))
+
+
+def _pass(k: int, cells, logf: np.ndarray, G: np.ndarray, I: np.ndarray,
+          dphi: np.ndarray, lo: int) -> None:
+    """The recurrence past node lo, in place: G from log f at the next
+    len(logf) nodes and +inf past them (where phi is +inf), I from I[lo] by
+    running sum of A G(s0) + B G(s1), phi' (+inf where I is not finite)."""
+    wA, wB, terms, chi_r = cells
+    G1, I1, D1 = G[lo + 1:], I[lo + 1:], dphi[lo + 1:]
+    fin = len(logf)
+    _G_into(k, logf, [t[lo:lo + fin] for t in terms], G1[:fin])
+    G1[fin:] = math.inf
+    np.multiply(wB[lo:], G1, out=I1)
+    # A G(s0) goes through the slope's buffer, which the slope overwrites
+    np.multiply(wA[lo:], G[lo:-1], out=D1)
+    I1 += D1
+    np.add.accumulate(I[lo:], out=I[lo:])
+    _slope_into(k, chi_r[lo:], I1, D1)
+    if not I[-1] < math.inf:
+        D1[~(I1 < math.inf)] = math.inf
+
+
 def _forward_pass(p: ProblemParams, f: Nonlinearity, grid: np.ndarray,
                   phi: np.ndarray):
-    """Accumulated integral and slope induced by a candidate profile.
-
-    Overflow is deliberate here: an accumulation running to +inf signals
-    blow-up and is caught by the callers' finiteness checks.
-    """
-    G = _smooth_factor(p, f, grid, phi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        I = np.concatenate(([0.0], np.cumsum(_cell_increments(grid, G, p.n))))
-    dphi = np.concatenate(([0.0], dphi_from_integral(p, grid[1:], I[1:])))
+    """Accumulated integral and slope induced by a candidate profile: the
+    walk's :func:`_pass` from node 0, where I and phi' are 0.  Overflow is
+    deliberate: an accumulation running to +inf signals blow-up and is
+    caught by the callers' finiteness checks."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # radius parts first for a lower peak; three arrays: profiles keep no G
+        cells = _cells(p, grid)
+        logf = f.log_eval(phi)
+        G, I, dphi = (np.zeros(len(grid)) for _ in range(3))
+        _G_into(p.k, logf[:1], _log_G_terms(p, grid[:1]), G[:1])
+        _pass(p.k, cells, logf[1:], G, I, dphi, 0)
     return I, dphi
 
 
@@ -332,35 +360,31 @@ def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
                    phi_cap: float, step: float, step_cap: float,
                    lam: float):
     """The break line on the nodes s[0] < ... < s[m] from the state at s[0],
-    swept to a bitwise fixed point.  A sweep runs the recurrence on arrays
-    (log f(phi) -> G -> I by running sum -> phi' -> phi by running sum with
-    the slope frozen at the left node) in the order of :func:`_smooth_factor`
-    and :func:`dphi_from_integral`, and rewrites phi in place.  It reads phi
-    only through log f, or as the +inf tail where f is not evaluated, and
-    node j+1 depends only on that input at nodes <= j; so the nodes before
-    the first whose input the next sweep would change hold the one-step
-    walk's values bit for bit, one more at least each sweep.  The first
-    guess has the slope dphi e^(lam (s - s[0])).  Returns the sweeps and the
-    rows (r, phi, dphi, I, G) up to the first node where phi > phi_cap or
+    swept to a bitwise fixed point.  A sweep is phi by running sum with the
+    slope frozen at the left node, rewritten in place, and then Picard's
+    :func:`_pass` over the unsettled nodes.  It reads phi only through
+    log f, or as the +inf tail where f is not evaluated, and node j+1
+    depends only on that input at nodes <= j; so the nodes before the first
+    whose input the next sweep would change hold the one-step walk's values
+    bit for bit, one more at least each sweep.  The first guess has the
+    slope dphi e^(lam (s - s[0])).  Returns the sweeps and the rows
+    (r, phi, dphi, I, G) up to the first node where phi > phi_cap or
     dphi * step > step_cap, else to s[m] or, after _MANY_SWEEPS sweeps, the
     last settled node.
     """
-    n, k, mu = p.n, p.k, p.mu
-    s0, s1, m = s[:-1], s[1:], len(s) - 1
-    wA, wB = _cell_weights(s0, s1, n)
-    width = s1 - s0
-    logG_r = math.log(k) - math.log(binom(n - 1, k - 1)) + n * mu * s1
-    # (1 - k) log(1 + mu s) is +-0.0 at mu = 0, so skipping it there is exact
-    bend = (1.0 - k) * np.log(1.0 + mu * s1) if k >= 2 and mu != 0.0 else None
-    x_r = (k - n) * np.log(s1) - n * mu * s1
-    kf, inf = float(k), math.inf
-    Gs, Is, dphis, phis, wAG = np.empty((5, m + 1))
-    Gs[0], Is[0], dphis[0], phis[0] = G, I, dphi, phi
-    # e^0 is 1, so the first cell takes the walk's own slope
-    np.multiply(dphi * np.exp(lam * (s0 - s[0])), width, out=phis[1:])
-    np.add.accumulate(phis, out=phis)
+    m, inf = len(s) - 1, math.inf
+    cells, width = _cells(p, s), s[1:] - s[:-1]
+    rows = np.empty((5, m + 1))
+    rows[0] = s
+    _, phis, dphis, Is, Gs = rows
+    Gs[0], Is[0], phis[0] = G, I, phi
+    # the guess; e^0 is 1, so the first cell takes the walk's own slope
+    np.multiply(dphi, np.exp(lam * (s[:-1] - s[0])), out=dphis[:-1])
     lo, logf = 0, None  # the last settled node; the log f a sweep read
+    # each check settles one more node, so sweep m returns at the latest
     for sweep in range(m + 1):
+        np.multiply(dphis[lo:-1], width[lo:], out=phis[lo + 1:])
+        np.add.accumulate(phis[lo:], out=phis[lo:])
         ahead = phis[lo + 1:]
         # phi never decreases, so only a tail of it can be +inf, where G is
         # +inf and f is not evaluated
@@ -381,35 +405,10 @@ def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
                 stops = (kept > phi_cap) | ~(slopes * step <= step_cap)
                 end = lo + 1 + int(stops.argmax())
             if end is not None:
-                return sweep, np.array([s, phis, dphis, Is, Gs])[:, :end + 1]
+                return sweep, rows[:, :end + 1]
             new, lo = new[settled - 1 - lo:], settled - 1
-        logf, fin = new, len(new)
-        G1, I1, D1 = Gs[lo + 1:], Is[lo + 1:], dphis[lo + 1:]
-        logG = G1[:fin]
-        if k == 1:
-            np.add(logf, logG_r[lo:lo + fin], out=logG)
-        else:
-            np.multiply(logf, kf, out=logG)
-            logG += logG_r[lo:lo + fin]
-            if bend is not None:
-                logG += bend[lo:lo + fin]
-        np.exp(logG, out=logG)
-        G1[fin:] = inf
-        np.multiply(wB[lo:], G1, out=I1)
-        np.multiply(wA[lo:], Gs[lo:-1], out=wAG[lo + 1:])
-        I1 += wAG[lo + 1:]
-        np.add.accumulate(Is[lo:], out=Is[lo:])
-        np.log(I1, out=D1)
-        D1 += x_r[lo:]
-        if k != 1:
-            D1 /= kf
-        np.exp(D1, out=D1)
-        if not Is[-1] < inf:
-            D1[~(I1 < inf)] = inf
-        np.multiply(dphis[lo:-1], width[lo:], out=phis[lo + 1:])
-        np.add.accumulate(phis[lo:], out=phis[lo:])
-    raise RuntimeError(f"the break line over [{s[0]}, {s[-1]}] found no "
-                       f"fixed point in {m} sweeps: is f pure?")
+        logf = new
+        _pass(p.k, cells, logf, Gs, Is, dphis, lo)
 
 
 def euler_break_line(p: ProblemParams, f: Nonlinearity, a: float,

@@ -195,6 +195,19 @@ class TestChi:
     def test_domain(self):
         with pytest.raises(ValueError):
             chi(ProblemParams(2, 1, 0.0), 0.0)
+        with pytest.raises(ValueError):
+            chi(ProblemParams(2, 1, 0.0), np.array([1.0, -2.0]))
+
+    def test_arrays_and_scalars(self):
+        p = ProblemParams(5, 2, 0.7)
+        rs = np.array([1e-300, 0.3, 1.0, 7.5, 1e300])
+        vec = chi(p, rs)
+        assert isinstance(vec, np.ndarray) and vec.shape == rs.shape
+        for r, v in zip(rs.tolist(), vec.tolist()):
+            x = chi(p, r)
+            assert type(x) is float and x == v
+            # numpy's log, not math.log: the two differ in the last bit
+            assert x == p.n * p.mu * r + (p.n - p.k) * float(np.log(r))
 
 
 class TestVolterraIntegrand:
@@ -220,6 +233,15 @@ class TestVolterraIntegrand:
         with pytest.raises(SingularityError):
             volterra_integrand(p, CONST1, 0.5, 0.0)
 
+    @pytest.mark.parametrize("s", [0.6, 5.0, np.array([0.1, 0.6])])
+    def test_past_the_singularity_for_k2(self, s):
+        # past s = -1/mu, 1 + mu s < 0: the factor (1 + mu s)^(1-k) does not
+        # belong to an admissible profile, and no value is returned
+        with pytest.raises(SingularityError):
+            volterra_integrand(ProblemParams(3, 2, -2.0), CONST1, s, 0.0)
+        with pytest.raises(SingularityError):
+            _smooth_factor(ProblemParams(4, 3, -1.0), CONST1, s * 2, 0.0)
+
     def test_needs_positive_s(self):
         with pytest.raises(ValueError):
             volterra_integrand(ProblemParams(2, 1, 0.0), CONST1, 0.0, 0.0)
@@ -239,6 +261,28 @@ class TestDphiFromIntegral:
             dphi_from_integral(p, 0.0, 1.0)
         with pytest.raises(ValueError):
             dphi_from_integral(p, 1.0, -1.0)
+
+    # k = n at mu = 0 is where -chi and (k-n) log r - n mu r differ in the
+    # sign of a zero; log I is never -0.0, so the slopes agree
+    @given(st.sampled_from([(2, 1), (2, 2), (3, 2), (3, 3), (5, 3), (6, 6)]),
+           st.sampled_from([0.0, -0.0]) | st.floats(-5, 5),
+           st.floats(min_value=5e-324, max_value=1e300),
+           st.sampled_from([0.0, 1.0, 1e308, math.inf])
+           | st.floats(min_value=0, max_value=1e308))
+    @example((3, 3), 0.0, 2.0, 1.0)
+    @example((2, 2), -0.0, 0.5, 1.0)
+    @example((4, 4), 0.0, 1e-300, 1e308)
+    @settings(max_examples=400, deadline=None)
+    def test_bit_equal_to_the_log_domain_expression(self, nk, mu, r, I):
+        p = ProblemParams(*nk, mu)
+        k, n = p.k, p.n
+        with np.errstate(all="ignore"):
+            want = np.exp(((k - n) * np.log(r) - n * mu * r + np.log(I)) / k)
+        got = dphi_from_integral(p, r, I)
+        assert type(got) is float
+        assert struct.pack("d", got) == struct.pack("d", want)
+        vec = dphi_from_integral(p, np.array([r, r]), np.array([I, 0.0]))
+        assert struct.pack("d", vec[0]) == struct.pack("d", want)
 
     def test_vector_and_scalar_paths_agree(self):
         p = ProblemParams(5, 3, 0.2)

@@ -186,6 +186,9 @@ class TestChunkedWalk:
                                            windows):
         got, want = both_walks(p, SOURCES[family], a, 1.5, 1e-3, fixed)
         assert len(windows) >= 4
+        # each sweep after the first settles at least one more node, so a
+        # window of m nodes returns within m sweeps
+        assert all(sweeps <= m for m, sweeps, _ in windows)
         assert_same_walk(got, want)
 
     def test_halving_in_the_middle_of_a_chunk(self, windows):
@@ -245,6 +248,7 @@ class TestChunkedWalk:
         cut = [i for i, (m, sweeps, end) in enumerate(windows[:-1])
                if sweeps > _MANY_SWEEPS and 1 < end < m]
         assert cut and windows[cut[0] + 1][0] == windows[cut[0]][0] // 2
+        assert all(sweeps <= m for m, sweeps, _ in windows)
         assert_same_walk(got, want)
 
     @pytest.mark.parametrize("fixed", [True, False])
