@@ -53,11 +53,11 @@ ADMISSIBILITY_FAILURE = "admissibility_failure"
 _CSV_BLOCK_ROWS = 1024
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
-# walk window lengths, and the sweeps up to which a window doubles and past
-# which it is cut and halves (a sweep's fixed cost is that of ~700 nodes);
-# the largest lam * (span in r) of a window, lam the growth rate of dphi
+# walk window lengths (a sweep's fixed cost is that of ~700 nodes), the
+# sweeps past which a window is cut and halves, and the largest lam * (span
+# in r) of a window, lam the growth rate of dphi
 _WINDOW_MIN, _WINDOW_MAX = 32, 2048
-_FEW_SWEEPS, _MANY_SWEEPS = 10, 16
+_MANY_SWEEPS = 16
 _GROWTH_SPAN = 3.0
 
 
@@ -286,17 +286,20 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     """The break line from (0, a) to r_end.  With `nodes` it visits exactly
     those radii and ends after the first non-finite dphi; otherwise it steps
     by h, halving it while the predicted increment exceeds
-    max(1, 0.01 * phi_cap), and ends at blow-up: phi above phi_cap or a step
-    below h * 2^-40; phi moves by dphi times the node spacing.  Returns the
-    columns (r, phi, dphi, I) as rows and the blow-up bracket, None at r_end.
+    max(1, 0.01 * phi_cap), and ends at blow-up: phi above phi_cap, or a
+    step below h * 2^-40 or too small to move r (r + step == r), where the
+    bracket is at least one ulp wide; phi moves by dphi times the node
+    spacing.  Returns the columns (r, phi, dphi, I) as rows and the blow-up
+    bracket, None at r_end.
 
     The nodes go in windows settled by :func:`_settle_window`: slices of
-    `nodes`, or r, r + h, ... summed as r + step up to a clamped last step,
-    _WINDOW_MIN long at first and after a halving, resized by their sweeps.
+    `nodes`, or r, r + h, ... summed as r + step up to a clamped last step
+    or one that r + step rounds away.  A window has _WINDOW_MIN nodes at
+    first and after a halving, half as many as the last after one cut past
+    _MANY_SWEEPS sweeps, and otherwise as many as span _GROWTH_SPAN / lam
+    in r, clamped to [_WINDOW_MIN, _WINDOW_MAX] (the largest at lam = 0).
     lam, the growth rate of dphi over the last cell kept (0 after a
-    halving), seeds the next window's first guess.  A window not following
-    a cut one spans at most _GROWTH_SPAN / lam in r, or _WINDOW_MIN nodes;
-    one longer than that starts from the frozen slope instead.
+    halving), also seeds each window's first guess.
     """
     # dphi * step passes the halving test iff it is finite and <= the cap;
     # on fixed nodes (step 1) the walk stops where dphi is not finite
@@ -318,21 +321,25 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                 while not dphi * step <= step_cap and h >= h_min:
                     h, size, lam = h / 2.0, _WINDOW_MIN, 0.0
                     step = min(h, r_end - r)
-                if h < h_min:  # no representable step tames the slope
-                    bracket = (r, float(r + h_entry))
+                # blow-up: no step >= h_min tames the slope, or the one
+                # that does no longer moves r
+                if h < h_min or r + step == r:
+                    bracket = (r, max(float(r + h_entry),
+                                      math.nextafter(r, math.inf)))
                     break
                 s = np.concatenate(([r], np.full(size, step)))
                 np.add.accumulate(s, out=s)
                 left = r_end - s[:-1]
-                # steps of this size: a clamped last step starts a new window
-                steps = (np.minimum(h, left) == step) & (left > tail)
+                # steps of this size that move r: a clamped last step, or
+                # one that r + step rounds away, starts a new window
+                steps = ((np.minimum(h, left) == step) & (left > tail)
+                         & (s[1:] > s[:-1]))
             else:
                 s = nodes[j:j + size + 1]
                 steps = r_end - s[:-1] > tail
             m = len(steps) if steps.all() else int(np.argmin(steps))
-            guess = lam if lam * h * size <= _GROWTH_SPAN else 0.0
             sweeps, rows = _settle_window(p, f, s[:m + 1], G, I, dphi, phi,
-                                          phi_cap, step, step_cap, guess)
+                                          phi_cap, step, step_cap, lam)
             columns.append(rows[:4, 1:])
             r, phi, dphi, I, G = rows[:, -1].tolist()
             if phi > phi_cap:
@@ -346,11 +353,11 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
             lam = np.log(dphi / d0) / (r - r0) if 0 < d0 < dphi < math.inf \
                 else 0.0
             j += rows.shape[1] - 1
-            if sweeps <= _FEW_SWEEPS:
-                size = min(2 * size, _WINDOW_MAX)
-            elif sweeps > _MANY_SWEEPS:
+            if sweeps > _MANY_SWEEPS:
                 size = max(size // 2, _WINDOW_MIN)
-            if sweeps <= _MANY_SWEEPS and lam * h * size > _GROWTH_SPAN:
+            elif lam * h * _WINDOW_MAX <= _GROWTH_SPAN:
+                size = _WINDOW_MAX
+            else:
                 size = max(int(_GROWTH_SPAN / (lam * h)), _WINDOW_MIN)
     return np.concatenate(columns, axis=1), bracket
 
@@ -496,7 +503,9 @@ def _blowup_walk(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
     if bracket is None:
         return BlowupReport(GLOBAL, r_max, profile=profile)
     lo, hi = bracket
-    return BlowupReport(FINITE_BLOWUP, r_max, r_estimate=0.5 * (lo + hi),
+    mid = 0.5 * (lo + hi)  # rounds to lo on a one-ulp bracket
+    return BlowupReport(FINITE_BLOWUP, r_max,
+                        r_estimate=mid if mid > lo else hi,
                         bracket=bracket, profile=profile)
 
 
@@ -515,9 +524,10 @@ def detect_blowup(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
 
     The step is halved whenever the predicted increment exceeds
     max(1, 0.01 * phi_cap); blow-up is declared when the profile crosses
-    phi_cap or the step underflows below h0 * 2^-40.  A finite blow-up
-    estimate is Richardson-combined from runs at h0 and h0/2 (the walk is
-    first-order), and the finer run's bracket is reported.
+    phi_cap or the step falls below h0 * 2^-40 or becomes too small to move
+    r (r + step == r).  A finite blow-up estimate is Richardson-combined
+    from runs at h0 and h0/2 (the walk is first-order), and the finer run's
+    bracket is reported.
     """
     _require_walk_sizes(p.n, "r_max", r_max, "h0", h0)
     if not math.isfinite(a):

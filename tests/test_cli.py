@@ -86,6 +86,17 @@ class TestSolve:
         assert out == ""
         assert "did not converge although the solution stays bounded" in err
 
+    def test_one_ulp_blowup_bracket_exit_code(self, capsys):
+        # the h0/2 walk's bracket is one ulp wide and its midpoint rounds to
+        # lo; BlowupReport raised, and the command exited 64
+        code, _, err = run(capsys, "solve", "--n", "3", "--k", "1",
+                           "--mu", "0.5", "--f", "exp:3", "--a", "0",
+                           "--r-end", "60", "--h", "1e-3", "--phi-cap", "30")
+        assert code == 3
+        diag = json.loads(err.split("blow-up before r_end:", 1)[1])
+        lo, hi = diag["bracket"]
+        assert lo < diag["r_estimate"] <= hi
+
     def test_infinite_r_end_is_usage_error(self, capsys):
         code, _, err = run(capsys, "solve", "--n", "2", "--k", "1", "--mu", "0",
                            "--f", "const:1", "--a", "0", "--r-end", "inf")
@@ -330,6 +341,36 @@ class TestSweep:
         assert code == 64
         assert "invalid configuration" in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("flag,value", [("--a", "0:1:0"),
+                                            ("--mu", "0:1"),
+                                            ("--f", "exp:0:1")])
+    def test_bad_grid_spec_writes_no_rows(self, tmp_path, capsys, flag,
+                                          value):
+        argv = {"--f": "exp:1", "--a": "0:1:2", "--mu": "0", flag: value}
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--n", "2", "--k", "1",
+                           *(x for kv in argv.items() for x in kv),
+                           "--out", str(out))
+        assert code == 64
+        assert "invalid configuration" in err
+        assert not out.exists()
+
+    def test_blowup_at_the_resolution_of_r(self, tmp_path, capsys,
+                                           bounded_walks):
+        # the walk halves its step below ulp(r)/2; it used to append
+        # windows at one radius until memory ran out
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--n", "3", "--k", "1",
+                         "--mu", "0", "--f", "exp:3", "--a", "-2",
+                         "--r-max", "200", "--h", "1e-3", "--phi-cap", "30",
+                         "--out", str(out))
+        assert code == 0
+        row = out.read_text().strip().splitlines()[1].split(",")
+        assert row[5] == "finite_blowup"
+        estimate, lo, hi = map(float, row[6:])
+        assert lo < estimate <= hi
 
 
 class TestUsage:

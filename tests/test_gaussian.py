@@ -70,6 +70,10 @@ class TestSpectrum:
         e4 = math.exp(4.0)
         assert spec.tolist() == pytest.approx([4 * e4 * 3.5, -2 * e4])
 
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            gaussian_spectrum(ProblemParams(2, 1, 0.0), 0.5, -1.0)
+
     def test_candidate_validation(self):
         with pytest.raises(ValueError):
             GaussianCandidate(0.0)

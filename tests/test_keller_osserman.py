@@ -116,6 +116,21 @@ class TestNumeric:
         ko_classify_numeric(Nonlinearity.custom(counting), 2)
         assert len(calls) == 400 + _HEAD_NODES
 
+    # f vanishes below tau = 5 of the grid [1, 1e6]: the fit drops the zero
+    # head of the inner integral
+    @pytest.mark.parametrize("tail,classification,exponent", [
+        (lambda t: t * t, CONVERGES, 1.5), (lambda t: 1.0, DIVERGES, 0.5)])
+    def test_source_switching_on_late(self, tail, classification, exponent):
+        f = Nonlinearity.custom(lambda t: 0.0 if t < 5 else tail(t))
+        v = ko_classify_numeric(f, 1)
+        assert v.classification == classification
+        assert v.tail_exponent == pytest.approx(exponent, abs=1e-3)
+
+    def test_source_vanishing_on_most_of_the_range_rejected(self):
+        f = Nonlinearity.custom(lambda t: 0.0 if t < 5e4 else t * t)
+        with pytest.raises(ValueError, match="vanishes on most"):
+            ko_classify_numeric(f, 1)
+
     def test_vanishing_source_rejected(self):
         f = Nonlinearity.custom(lambda t: 0.0,
                                 degenerate_at_nonpositive=True)

@@ -46,6 +46,17 @@ class TestEval:
         with pytest.raises(ValueError):
             Nonlinearity.power_cutoff(-0.5)
 
+    @pytest.mark.parametrize("family,param,match", [
+        ("tan", 1.0, "unknown family"), ("custom", None, "needs a callback")])
+    def test_family_and_callback_required(self, family, param, match):
+        with pytest.raises(ValueError, match=match):
+            Nonlinearity(family, param)
+
+    def test_negative_custom_value_rejected(self):
+        f = Nonlinearity.custom(lambda t: t)
+        with pytest.raises(ValueError, match="negative values"):
+            f.log_eval(np.array([1.0, -1.0]))
+
 
 class TestPowK:
     def test_constant_cube(self):

@@ -51,6 +51,11 @@ class TestProblemParams:
         with pytest.raises(ValueError):
             ProblemParams(3, 2, math.nan)
 
+    @pytest.mark.parametrize("n,k", [(2.5, 1), (3, 1.5)])
+    def test_non_integer_dimension_or_order(self, n, k):
+        with pytest.raises(ValueError, match="must be integers"):
+            ProblemParams(n, k, 0.0)
+
     @pytest.mark.parametrize("n,k,mu,admissible", [
         (2, 1, -5.0, True), (2, 1, 5.0, True),
         (3, 2, 0.0, True), (3, 2, 0.5, True), (3, 2, -1e-9, False),
@@ -521,6 +526,11 @@ class TestOdeResidual:
         p = ProblemParams(4, 2, 0.7)
         assert ode_residual(p, CONST1, 1.0, 0.0, 0.0, 0.0) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_needs_positive_radius(self, r):
+        with pytest.raises(ValueError, match="needs r > 0"):
+            ode_residual(ProblemParams(3, 2, 0.0), CONST1, r, 0.0, 1.0, 1.0)
+
 
 class TestDdphiAtZero:
     def test_values(self):
@@ -547,6 +557,11 @@ class TestDdphiFromOde:
         p = ProblemParams(3, 2, 0.0)
         with pytest.raises(ZeroDivisionError):
             ddphi_from_ode(p, CONST1, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0])
+    def test_needs_positive_radius(self, r):
+        with pytest.raises(ValueError, match="needs r > 0"):
+            ddphi_from_ode(ProblemParams(3, 2, 0.0), CONST1, r, 0.0, 1.0)
 
 
 class TestDivergenceForm:

@@ -133,6 +133,16 @@ class TestEulerBreakLine:
         with pytest.raises(ValueError):
             euler_break_line(ProblemParams(2, 1, 0.0), CONST1, 0.0, r_end, h)
 
+    @pytest.mark.parametrize("solve", [euler_break_line, picard_solve])
+    @pytest.mark.parametrize("a,r_end,h,match", [
+        (math.nan, 1.0, 0.1, "initial value"),
+        (-math.inf, 1.0, 0.1, "initial value"),
+        (0.0, 1.0, 2.0, "h <= r_end")])
+    def test_rejects_bad_initial_value_or_step(self, solve, a, r_end, h,
+                                               match):
+        with pytest.raises(ValueError, match=match):
+            solve(ProblemParams(2, 1, 0.0), CONST1, a, r_end, h)
+
     def test_rejects_radius_whose_power_overflows(self):
         # the cell quadrature needs r^(n+1) < DBL_MAX: r < 5.6e102 at n=2
         with pytest.raises(ValueError, match="overflows"):
@@ -315,6 +325,27 @@ class TestDetectBlowup:
         assert rep.status == ADMISSIBILITY_FAILURE
         assert rep.r_fail == pytest.approx(10.0)  # -1/mu
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_initial_value(self, a):
+        with pytest.raises(ValueError, match="initial value must be finite"):
+            detect_blowup(ProblemParams(2, 1, 0.0), EXP1, a, r_max=10.0)
+
+    # the walk halves its step below ulp(r)/2, where r + step == r (it used
+    # to append windows at one radius until memory ran out), and a one-ulp
+    # bracket whose midpoint rounds to lo (BlowupReport raised ValueError)
+    @pytest.mark.parametrize("mu,a,r_max", [(0.0, -2.0, 200.0),
+                                            (0.5, 0.0, 60.0)])
+    def test_blowup_at_the_resolution_of_r(self, bounded_walks, mu, a,
+                                           r_max):
+        # the two walks settle about 100 windows in all
+        rep = detect_blowup(ProblemParams(3, 1, mu),
+                            Nonlinearity.exponential(3.0), a, r_max=r_max,
+                            phi_cap=30.0, h0=1e-3)
+        assert rep.status == FINITE_BLOWUP
+        lo, hi = rep.bracket
+        assert lo < rep.r_estimate <= hi < r_max
+        assert np.all(np.diff(rep.profile.grid) > 0)
+
     def test_cap_must_exceed_initial_value(self):
         with pytest.raises(ValueError):
             detect_blowup(ProblemParams(2, 1, 0.0), CONST1, 2.0, r_max=1.0,
@@ -372,6 +403,20 @@ class TestRefinementOrder:
         with pytest.raises(RefinementDiagnosticError):
             refinement_order(p, Nonlinearity.power_cutoff(1.0), 0.0, 1.0,
                              [1e-1, 5e-2, 2.5e-2], method="euler")
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            refinement_order(ProblemParams(2, 1, 0.0), CONST1, 0.0, 1.0,
+                             [1e-1, 5e-2, 2.5e-2], method="rk4")
+
+    def test_error_sequence_that_does_not_decrease(self):
+        # first-order endpoint differences follow the gaps of the steps:
+        # about c * 1e-3, then c * 8e-3
+        p = ProblemParams(3, 2, 0.0)
+        with pytest.raises(RefinementDiagnosticError,
+                           match="not decreasing"):
+            refinement_order(p, CONST1, 1.0, 2.0, [1e-2, 9e-3, 1e-3],
+                             method="euler")
 
     def test_needs_three_decreasing_steps(self):
         p = ProblemParams(2, 1, 0.0)
@@ -442,6 +487,26 @@ class TestProfileSerialization:
         buf = io.StringIO()
         prof.to_json(buf)
         assert json.loads(buf.getvalue())["defect"] == []
+
+    @pytest.mark.parametrize("cols,match", [
+        (([0.0, 1.0], [0.0], [0.0, 0.0], [0.0, 0.0]), "share one grid"),
+        (([0.0, 1.0, 1.0], [0.0] * 3, [0.0] * 3, [0.0] * 3),
+         "increase strictly"),
+        (([0.5, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]),
+         "increase strictly"),
+        (([0.0, 1.0], [0.0, 1.0], [1.0, 1.0], [0.0, 1.0]), "must vanish"),
+        (([0.0, 1.0], [0.0, math.inf], [0.0, 1.0], [0.0, 1.0]),
+         "non-finite values in phi"),
+        (([0.0, 1.0], [0.0, 1.0], [0.0, math.nan], [0.0, 1.0]),
+         "non-finite values in dphi"),
+        (([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, math.inf]),
+         "non-finite values in volterra"),
+    ])
+    def test_validate_names_the_bad_column(self, cols, match):
+        bad = RadialProfile(*map(np.array, cols), ProblemParams(2, 1, 0.0),
+                            CONST1)
+        with pytest.raises(ValueError, match=match):
+            bad.validate()
 
     def test_validate_rejects_bad_columns(self):
         p = ProblemParams(2, 1, 0.0)
