@@ -5,10 +5,11 @@ stays bounded up to r_end, 2 admissibility rejection, 3 blow-up before r_end,
 4 inconclusive classification, 10 I/O failure, 64 usage error (including
 non-finite numbers where a finite one is needed).  A radius (--r-end,
 --r-max) must keep r^(n+1), and `verify --r-max` r^2, 4 A^2 r^2, k A r^2 and
-k alpha A r^2, below the largest float.  A rejected sweep tuple gets an
-`error` row and the sweep exits 64 after writing every row.  Outputs are
-deterministic: CSV floats carry 17 significant digits; sweep rows are sorted
-by parameter tuple.
+k alpha A r^2, below the largest float; `solve` and `sweep` also need
+r / --h below 2^52.  A rejected sweep tuple gets an `error` row and the
+sweep exits 64 after writing every row.  Outputs are deterministic: CSV
+floats carry 17 significant digits; sweep rows are sorted by parameter
+tuple.
 """
 
 import argparse

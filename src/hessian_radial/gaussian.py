@@ -193,11 +193,15 @@ def verify_subsolution(p: ProblemParams, A: float, alpha: float, radii,
         if sk_scaled <= 0.0:
             ok, margin, log_domain = False, -math.inf, True
         else:
-            log_lhs = k * A * ri * ri + (math.log(sk_scaled) + log_shift)
+            log_sk = math.log(sk_scaled) + log_shift
+            log_lhs = k * A * ri * ri + log_sk
             log_rhs = k * alpha * A * ri * ri
-            ok = log_lhs - log_rhs >= -rel_tol
+            # the exponents cancel before log S_k is added, which a
+            # difference of log_lhs and log_rhs would round away
+            log_margin = (k * A * ri * ri - log_rhs) + log_sk
+            ok = log_margin >= -rel_tol
             log_domain = max(log_lhs, log_rhs) >= _LOG_HUGE
-            margin = (log_lhs - log_rhs if log_domain
+            margin = (log_margin if log_domain
                       else math.exp(log_lhs) - math.exp(log_rhs))
         passed = bool(ok and gamma_ok)
         if not passed and first_failure is None:

@@ -54,8 +54,8 @@ _CSV_BLOCK_ROWS = 1024
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 # walk window lengths (a sweep's fixed cost is that of ~700 nodes), the
-# sweeps past which a window is cut and halves, and the largest lam * (span
-# in r) of a window, lam the growth rate of dphi
+# sweeps past which a window is cut at its last settled node, and the
+# largest lam * (span in r) of a window, lam the growth rate of dphi
 _WINDOW_MIN, _WINDOW_MAX = 32, 2048
 _MANY_SWEEPS = 16
 _GROWTH_SPAN = 3.0
@@ -237,14 +237,14 @@ def _pass(k: int, cells, logf: np.ndarray, G: np.ndarray, I: np.ndarray,
 
 
 def _forward_pass(p: ProblemParams, f: Nonlinearity, grid: np.ndarray,
-                  phi: np.ndarray):
+                  phi: np.ndarray, cells):
     """Accumulated integral and slope induced by a candidate profile: the
-    walk's :func:`_pass` from node 0, where I and phi' are 0.  Overflow is
-    deliberate: an accumulation running to +inf signals blow-up and is
-    caught by the callers' finiteness checks."""
+    walk's :func:`_pass` from node 0, where I and phi' are 0, on the grid's
+    radius parts `cells` (:func:`_cells`).  Overflow is deliberate: an
+    accumulation running to +inf signals blow-up and is caught by the
+    callers' finiteness checks."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # radius parts first for a lower peak; three arrays: profiles keep no G
-        cells = _cells(p, grid)
+        # three arrays: profiles keep no G
         logf = f.log_eval(phi)
         G, I, dphi = (np.zeros(len(grid)) for _ in range(3))
         _G_into(p.k, logf[:1], _log_G_terms(p, grid[:1]), G[:1])
@@ -256,10 +256,15 @@ def _require_walk_sizes(n: int, r_name: str, r: float, h_name: str,
                         h: float) -> None:
     """Both sizes must be finite and > 0, and the radius must keep
     r^(n+1) < DBL_MAX (r < 5.6e102 at n=2): a sufficient bound under which
-    every term of the cell weights, at most about r^n, stays finite."""
+    every term of the cell weights, at most about r^n, stays finite.  Also
+    r / h < 2^52: a step h then exceeds one ulp of the radius, so the grid
+    nodes are distinct; at or above it a walk would take >= 4.5e15 steps."""
     for name, value in ((r_name, r), (h_name, h)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if not r / h < 2.0 ** 52:
+        raise ValueError(f"{h_name}={h} is too small for {r_name}={r}: "
+                         f"{r_name}/{h_name} must stay below 2^52")
     try:
         float(r) ** (n + 1)
     except OverflowError:
@@ -294,12 +299,11 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
 
     The nodes go in windows settled by :func:`_settle_window`: slices of
     `nodes`, or r, r + h, ... summed as r + step up to a clamped last step
-    or one that r + step rounds away.  A window has _WINDOW_MIN nodes at
-    first and after a halving, half as many as the last after one cut past
-    _MANY_SWEEPS sweeps, and otherwise as many as span _GROWTH_SPAN / lam
-    in r, clamped to [_WINDOW_MIN, _WINDOW_MAX] (the largest at lam = 0).
-    lam, the growth rate of dphi over the last cell kept (0 after a
-    halving), also seeds each window's first guess.
+    or one that r + step rounds away.  A window has _GROWTH_SPAN / (lam h)
+    nodes, h before the window's own halvings, clamped to [_WINDOW_MIN,
+    _WINDOW_MAX]: the most at lam = 0, as at the origin.  lam, the growth
+    rate of dphi over the last cell kept, also seeds each window's first
+    guess.
     """
     # dphi * step passes the halving test iff it is finite and <= the cap;
     # on fixed nodes (step 1) the walk stops where dphi is not finite
@@ -310,16 +314,18 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     r, phi, dphi, I = 0.0, float(a), 0.0, 0.0
     G = float(_smooth_factor(p, f, r, phi))
     columns = [np.array([[r], [phi], [dphi], [I]])]
-    bracket, size, j, lam = None, _WINDOW_MIN, 0, 0.0
+    bracket, j, lam = None, 0, 0.0
     # sizes given as numpy scalars make the arithmetic numpy's, and overflow
     # is deliberate here: a column running to +inf signals blow-up
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while r_end - r > tail:
+            size = (_WINDOW_MAX if lam * h * _WINDOW_MAX <= _GROWTH_SPAN
+                    else max(int(_GROWTH_SPAN / (lam * h)), _WINDOW_MIN))
             if nodes is None:
                 h_entry = h
                 step = min(h, r_end - r)
                 while not dphi * step <= step_cap and h >= h_min:
-                    h, size, lam = h / 2.0, _WINDOW_MIN, 0.0
+                    h /= 2.0
                     step = min(h, r_end - r)
                 # blow-up: no step >= h_min tames the slope, or the one
                 # that does no longer moves r
@@ -338,8 +344,8 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                 s = nodes[j:j + size + 1]
                 steps = r_end - s[:-1] > tail
             m = len(steps) if steps.all() else int(np.argmin(steps))
-            sweeps, rows = _settle_window(p, f, s[:m + 1], G, I, dphi, phi,
-                                          phi_cap, step, step_cap, lam)
+            _, rows = _settle_window(p, f, s[:m + 1], G, I, dphi, phi,
+                                     phi_cap, step, step_cap, lam)
             columns.append(rows[:4, 1:])
             r, phi, dphi, I, G = rows[:, -1].tolist()
             if phi > phi_cap:
@@ -353,12 +359,6 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
             lam = np.log(dphi / d0) / (r - r0) if 0 < d0 < dphi < math.inf \
                 else 0.0
             j += rows.shape[1] - 1
-            if sweeps > _MANY_SWEEPS:
-                size = max(size // 2, _WINDOW_MIN)
-            elif lam * h * _WINDOW_MAX <= _GROWTH_SPAN:
-                size = _WINDOW_MAX
-            else:
-                size = max(int(_GROWTH_SPAN / (lam * h)), _WINDOW_MIN)
     return np.concatenate(columns, axis=1), bracket
 
 
@@ -452,10 +452,12 @@ def picard_solve(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     grid = _uniform_grid(r_end, h)
     hcells = np.diff(grid)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        cells = _cells(p, grid)
     phi = np.full(len(grid), float(a))
     deltas = []
     for _ in range(max_iter):
-        _, dphi = _forward_pass(p, f, grid, phi)
+        _, dphi = _forward_pass(p, f, grid, phi, cells)
         with np.errstate(over="ignore", invalid="ignore"):
             phi_new = a + np.concatenate(
                 ([0.0], np.cumsum((dphi[:-1] + dphi[1:]) * hcells / 2.0)))
@@ -466,7 +468,7 @@ def picard_solve(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
         deltas.append(float(np.max(np.abs(phi_new - phi))))
         phi = phi_new
         if deltas[-1] < tol:
-            I, dphi = _forward_pass(p, f, grid, phi)
+            I, dphi = _forward_pass(p, f, grid, phi, cells)
             profile = RadialProfile(grid, phi, dphi, I, p, f)
             profile.validate()
             return profile

@@ -125,6 +125,18 @@ class TestSolve:
         assert "invalid configuration" in err
         assert "Traceback" not in err
 
+    # r_end / h >= 2^52: 5e-324 ended in an OverflowError traceback
+    @pytest.mark.parametrize("h", ["5e-324", "1e-300"])
+    def test_step_below_the_resolution_of_r_is_usage_error(self, tmp_path,
+                                                            capsys, h):
+        out = tmp_path / "profile.csv"
+        code, _, err = run(capsys, "solve", "--n", "2", "--k", "1", "--mu", "0",
+                           "--f", "exp:1", "--a", "0", "--r-end", "1",
+                           "--h", h, "--out", str(out))
+        assert code == 64
+        assert "invalid configuration" in err and "2^52" in err
+        assert not out.exists()
+
     def test_json_format(self, tmp_path, capsys):
         out = tmp_path / "profile.json"
         code, _, _ = run(capsys, "solve", "--n", "3", "--k", "2", "--mu", "0.1",
@@ -342,6 +354,18 @@ class TestSweep:
         assert "invalid configuration" in err
         assert not out.exists()
 
+
+    # r_max / h >= 2^52: the walks did not return
+    @pytest.mark.parametrize("h", ["5e-324", "1e-300"])
+    def test_step_below_the_resolution_of_r_writes_no_rows(
+            self, tmp_path, capsys, bounded_walks, h):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--n", "2", "--k", "1",
+                           "--f", "exp:1", "--a", "0", "--mu", "0",
+                           "--r-max", "3", "--h", h, "--out", str(out))
+        assert code == 64
+        assert "invalid configuration" in err and "2^52" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--a", "0:1:0"),
                                             ("--mu", "0:1"),

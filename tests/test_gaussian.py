@@ -28,10 +28,11 @@ def scalar_check(p, A, alpha, r, rel_tol=1e-12):
     else:
         log_lhs = p.k * A * r * r + math.log(sums[-1])
         log_rhs = p.k * alpha * A * r * r
-        ok = log_lhs - log_rhs >= -rel_tol
+        log_margin = (p.k * A * r * r - log_rhs) + math.log(sums[-1])
+        ok = log_margin >= -rel_tol
         log_domain = max(log_lhs, log_rhs) >= math.log(1e300)
         if log_domain:
-            margin = log_lhs - log_rhs
+            margin = log_margin
         else:
             margin = math.exp(log_lhs) - math.exp(log_rhs)
     return RadiusCheck(r, bool(ok and gamma_ok), margin, gamma_ok, log_domain)
@@ -50,6 +51,17 @@ def mp_log_margin(mp, p, A, alpha, r):
             e[j] += v * e[j - 1]
     log_margin = p.k * A * r * r * (1 - alpha) + mp.log(e[-1])
     return log_margin, all(s > 0 for s in e[1:])
+
+
+def assert_margins_against_mpmath(mp, p, A, r):
+    """A log-domain row at alpha = 2 fails and at alpha = 1 passes, each
+    with the log margin of the 50-digit recurrence to 1e-12."""
+    for alpha, passed in ((2.0, False), (1.0, True)):
+        want, gamma = mp_log_margin(mp, p, A, alpha, r)
+        check = verify_subsolution(p, A, alpha, [r]).checks[0]
+        assert gamma and check.gamma_k_ok
+        assert check.passed == passed and check.log_domain
+        assert check.margin == pytest.approx(float(want), rel=1e-12)
 
 
 class TestSpectrum:
@@ -272,7 +284,8 @@ class TestVerify:
 class TestSkOverflow:
     # S_k overflowed to inf and log(inf) passed the first case with
     # margin=inf; scaling the spectrum by max|lambda| alone underflows the
-    # second case's S_k to 0 and fails it
+    # second case's S_k to 0 and fails it.  At alpha = 1 the margin is
+    # log S_k alone, which k A r^2 + log S_k - k A r^2 rounded to 0.0
     @pytest.mark.parametrize("n,k,mu,A,r", [
         (3, 2, 0.1, 0.3, 1e130),
         (10, 7, 0.4367, 0.2807, 6.3e54),
@@ -283,14 +296,30 @@ class TestSkOverflow:
         mp = pytest.importorskip("mpmath")
         p = ProblemParams(n, k, mu)
         assert scalar_check(p, A, 1.0, r) is None  # S_j overflows in floats
-        want, gamma = mp_log_margin(mp, p, A, 2.0, r)
-        check = verify_subsolution(p, A, 2.0, [r]).checks[0]
-        assert gamma and check.gamma_k_ok
-        assert not check.passed and check.log_domain
-        assert check.margin == pytest.approx(float(want), rel=1e-12)
-        check = verify_subsolution(p, A, 1.0, [r]).checks[0]
-        assert check.passed and check.log_domain
-        assert math.isfinite(check.margin)
+        assert_margins_against_mpmath(mp, p, A, r)
+
+    # the same cancellation where every S_j is a finite float
+    @pytest.mark.parametrize("n,k,mu,A,r", [
+        (3, 2, 0.1, 0.3, 1e20),
+        (12, 6, 0.3, 0.2, 1e10),
+    ])
+    def test_finite_sk_row_against_mpmath(self, n, k, mu, A, r):
+        mp = pytest.importorskip("mpmath")
+        p = ProblemParams(n, k, mu)
+        want = scalar_check(p, A, 1.0, r)
+        assert want is not None
+        assert repr(verify_subsolution(p, A, 1.0, [r]).checks[0]) == repr(want)
+        assert_margins_against_mpmath(mp, p, A, r)
+
+    def test_log_margin_keeps_every_digit_of_log_sk(self):
+        # alpha = 1 at r = 100: k A r^2 = 2e4 took the last 3 digits of
+        # log S_k (14.381649026887317 against 14.381649026888891)
+        mp = pytest.importorskip("mpmath")
+        p = ProblemParams(3, 2, 0.1)
+        want, _ = mp_log_margin(mp, p, 1.0, 1.0, 100.0)
+        check = verify_subsolution(p, 1.0, 1.0, [100.0]).checks[0]
+        assert check.log_domain
+        assert check.margin == pytest.approx(float(want), rel=1e-15)
 
 
 class TestDefaultRadii:

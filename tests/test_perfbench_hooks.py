@@ -67,3 +67,28 @@ def test_tracer_records_the_walks_and_their_steps():
     assert metrics["solver.detect_blowup.walks_per_call"] == 1
     assert metrics["solver.euler_break_line.steps_per_s"] > 0
     assert metrics["solver._blowup_walk.steps_per_s"] > 0
+
+
+def test_tracer_records_each_picard_pass(monkeypatch):
+    # the grid stays the third argument of _forward_pass, which the tracer
+    # counts as the pass's work; each pass runs solver._pass once
+    spans = load_spans()
+    solver = hessian_radial.solver
+    passes, run_pass = [], solver._pass
+
+    def counting(*args):
+        passes.append(None)
+        return run_pass(*args)
+    monkeypatch.setattr(solver, "_pass", counting)
+    p = hessian_radial.ProblemParams(2, 1, 0.0)
+    f = hessian_radial.Nonlinearity.exponential(1.0)
+    with spans.Tracer() as tracer:
+        prof = solver.picard_solve(p, f, 0.0, 2.0, 1e-3)
+    metrics = {name: value for name, (value, _) in
+               tracer.layer_metrics().items()}
+    work = sum(state.stats["solver._forward_pass"].work
+               for state in tracer._states)
+    assert len(passes) >= 3
+    assert metrics["solver._forward_pass.calls"] == len(passes)
+    assert metrics["solver.picard_solve.sweeps_per_solve"] == len(passes)
+    assert work == len(passes) * len(prof.grid)

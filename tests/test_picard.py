@@ -7,12 +7,13 @@ import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hessian_radial import (Nonlinearity, NonConvergenceError, ProblemParams,
-                            binom, picard_solve)
-from hessian_radial.solver import _forward_pass, _uniform_grid
+                            binom, picard_solve, solver)
+from hessian_radial.solver import _cells, _forward_pass, _uniform_grid
 
 SOURCES = {
     "const": Nonlinearity.constant(1.7),
@@ -125,7 +126,9 @@ class TestPicardReference:
     def test_forward_pass(self, p, family, a, r_end, m, c, q):
         f, grid = SOURCES[family], _uniform_grid(r_end, r_end / m)
         phi = a + c * grid ** q
-        assert_same_pass(_forward_pass(p, f, grid, phi),
+        with np.errstate(all="ignore"):
+            cells = _cells(p, grid)
+        assert_same_pass(_forward_pass(p, f, grid, phi, cells),
                          reference_forward_pass(p, f, grid, phi))
 
     @given(regimes, st.sampled_from(sorted(SOURCES)),
@@ -150,3 +153,20 @@ class TestPicardReference:
         else:
             for g, w in zip(got, want):
                 assert np.array_equal(bits(g), bits(w))
+
+
+class TestRadiusParts:
+    @pytest.mark.parametrize("p, family, r_end", [
+        (ProblemParams(3, 2, 0.4), "const", 2.0),
+        (ProblemParams(2, 1, 0.0), "exp", 2.0),  # Liouville: 11 passes
+    ])
+    def test_formed_once_per_solve(self, p, family, r_end, monkeypatch):
+        # the cell weights, log G terms and chi depend on the grid alone
+        formed, cells = [], solver._cells
+
+        def counting(*args):
+            formed.append(None)
+            return cells(*args)
+        monkeypatch.setattr(solver, "_cells", counting)
+        picard_solve(p, SOURCES[family], 0.0, r_end, 1e-3)
+        assert len(formed) == 1

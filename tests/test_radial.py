@@ -16,7 +16,7 @@ from hessian_radial import (Nonlinearity, ProblemParams, SingularityError,
                             radial_spectrum, sk_radial, volterra_integrand)
 from hessian_radial.radial import _smooth_factor
 from hessian_radial.solver import (FINITE_BLOWUP, _cell_increment,
-                                   _cell_increments, _cell_weights,
+                                   _cell_increments, _cell_weights, _cells,
                                    _forward_pass, detect_blowup,
                                    euler_break_line)
 
@@ -425,7 +425,8 @@ class TestFloatPaths:
             prof.dphi[1:], dphi_from_integral(p, prof.grid[1:],
                                               prof.volterra[1:]))
         assert np.array_equal(
-            prof.volterra, _forward_pass(p, prof.f, prof.grid, prof.phi)[0])
+            prof.volterra, _forward_pass(p, prof.f, prof.grid, prof.phi,
+                                         _cells(p, prof.grid))[0])
 
     # the weights use only + and *, so floats and arrays agree on every
     # cell, also where Python's and numpy's powers differ in the last bit

@@ -18,7 +18,8 @@ from hessian_radial import (AdmissibilityError, Nonlinearity,
                             euler_break_line, per_cell_defect, picard_solve,
                             refinement_order)
 from hessian_radial.solver import (_CSV_BLOCK_ROWS, FINITE_BLOWUP, GLOBAL,
-                                   ADMISSIBILITY_FAILURE, RadialProfile)
+                                   ADMISSIBILITY_FAILURE, RadialProfile,
+                                   _require_walk_sizes)
 
 CONST1 = Nonlinearity.constant(1.0)
 EXP1 = Nonlinearity.exponential(1.0)
@@ -148,6 +149,20 @@ class TestEulerBreakLine:
         with pytest.raises(ValueError, match="overflows"):
             euler_break_line(ProblemParams(2, 1, 0.0), CONST1, 0.0, 1e200,
                              1e199)
+
+    # r_end / h >= 2^52: no float grid resolves the step (5e-324 raised
+    # OverflowError in round(r_end / h), 1e-300 asked numpy for 1e300 nodes)
+    @pytest.mark.parametrize("solve", [euler_break_line, picard_solve])
+    @pytest.mark.parametrize("h", [5e-324, 1e-300])
+    def test_rejects_step_below_the_resolution_of_r(self, solve, h):
+        with pytest.raises(ValueError, match=r"below 2\^52"):
+            solve(ProblemParams(2, 1, 0.0), EXP1, 0.0, 1.0, h)
+
+    def test_step_bound_is_r_over_h_below_2_to_52(self):
+        h = 2.0 ** -52
+        with pytest.raises(ValueError, match=r"below 2\^52"):
+            _require_walk_sizes(2, "r_end", 1.0, "h", h)
+        _require_walk_sizes(2, "r_end", 1.0, "h", math.nextafter(h, 1.0))
 
     def test_self_consistency_is_exact(self):
         p = ProblemParams(5, 3, 0.3)
@@ -345,6 +360,13 @@ class TestDetectBlowup:
         lo, hi = rep.bracket
         assert lo < rep.r_estimate <= hi < r_max
         assert np.all(np.diff(rep.profile.grid) > 0)
+
+    # the walk appended windows of steps that do not resolve r, with no end
+    @pytest.mark.parametrize("h0", [5e-324, 1e-300])
+    def test_rejects_step_below_the_resolution_of_r(self, bounded_walks, h0):
+        with pytest.raises(ValueError, match=r"below 2\^52"):
+            detect_blowup(ProblemParams(2, 1, 0.0), EXP1, 0.0, r_max=3.0,
+                          h0=h0)
 
     def test_cap_must_exceed_initial_value(self):
         with pytest.raises(ValueError):
