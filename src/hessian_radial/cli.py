@@ -283,8 +283,11 @@ def main(argv=None) -> int:
     except AdmissibilityError as exc:
         print(f"admissibility rejection: {exc}", file=sys.stderr)
         return EXIT_ADMISSIBILITY
-    except ValueError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        # a grid too large to allocate: numpy refuses it before touching
+        # any memory
+        print(f"invalid configuration: {exc or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

@@ -53,11 +53,9 @@ ADMISSIBILITY_FAILURE = "admissibility_failure"
 _CSV_BLOCK_ROWS = 1024
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
-# walk window lengths (a sweep's fixed cost is that of ~700 nodes), the
-# sweeps past which a window is cut at its last settled node, and the
+# walk window lengths (a sweep's fixed cost is that of ~700 nodes) and the
 # largest lam * (span in r) of a window, lam the growth rate of dphi
 _WINDOW_MIN, _WINDOW_MAX = 32, 2048
-_MANY_SWEEPS = 16
 _GROWTH_SPAN = 3.0
 
 
@@ -297,13 +295,13 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     spacing.  Returns the columns (r, phi, dphi, I) as rows and the blow-up
     bracket, None at r_end.
 
-    The nodes go in windows settled by :func:`_settle_window`: slices of
-    `nodes`, or r, r + h, ... summed as r + step up to a clamped last step
-    or one that r + step rounds away.  A window has _GROWTH_SPAN / (lam h)
-    nodes, h before the window's own halvings, clamped to [_WINDOW_MIN,
-    _WINDOW_MAX]: the most at lam = 0, as at the origin.  lam, the growth
-    rate of dphi over the last cell kept, also seeds each window's first
-    guess.
+    The nodes go in windows settled by :func:`_settle_window`, each kept
+    whole up to its first stop: slices of `nodes`, or r, r + h, ... summed
+    as r + step up to a clamped last step or one that r + step rounds
+    away.  A window has _GROWTH_SPAN / (lam h) nodes, h before the window's
+    own halvings, clamped to [_WINDOW_MIN, _WINDOW_MAX]: the most at
+    lam = 0, as at the origin.  lam, the growth rate of dphi over the last
+    cell kept, also seeds each window's first guess.
     """
     # dphi * step passes the halving test iff it is finite and <= the cap;
     # on fixed nodes (step 1) the walk stops where dphi is not finite
@@ -374,10 +372,9 @@ def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
     depends only on that input at nodes <= j; so the nodes before the first
     whose input the next sweep would change hold the one-step walk's values
     bit for bit, one more at least each sweep.  The first guess has the
-    slope dphi e^(lam (s - s[0])).  Returns the sweeps and the rows
-    (r, phi, dphi, I, G) up to the first node where phi > phi_cap or
-    dphi * step > step_cap, else to s[m] or, after _MANY_SWEEPS sweeps, the
-    last settled node.
+    slope dphi e^(lam (s - s[0])).  Returns the sweeps, at most m, and the
+    rows (r, phi, dphi, I, G) up to the first node where phi > phi_cap or
+    dphi * step > step_cap, else to s[m].
     """
     m, inf = len(s) - 1, math.inf
     cells, width = _cells(p, s), s[1:] - s[:-1]
@@ -404,9 +401,9 @@ def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
             same = new[1:both].view(np.int64) == logf[1:both].view(np.int64)
             settled = (lo + 2 + int(same.argmin()) if not same.all()
                        else m + 1 if fin == len(logf) else lo + 1 + both)
-            # done when all settled or past _MANY_SWEEPS, or at a settled stop
+            # done when all settled, or at a settled stop
             kept, slopes = phis[lo + 1:settled], dphis[lo + 1:settled]
-            end = settled - 1 if settled > m or sweep > _MANY_SWEEPS else None
+            end = settled - 1 if settled > m else None
             if len(kept) and not (slopes.max() * step <= step_cap
                                   and kept[-1] <= phi_cap):
                 stops = (kept > phi_cap) | ~(slopes * step <= step_cap)
@@ -505,9 +502,8 @@ def _blowup_walk(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
     if bracket is None:
         return BlowupReport(GLOBAL, r_max, profile=profile)
     lo, hi = bracket
-    mid = 0.5 * (lo + hi)  # rounds to lo on a one-ulp bracket
     return BlowupReport(FINITE_BLOWUP, r_max,
-                        r_estimate=mid if mid > lo else hi,
+                        r_estimate=math.nextafter(lo, hi),
                         bracket=bracket, profile=profile)
 
 
@@ -527,9 +523,10 @@ def detect_blowup(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
     The step is halved whenever the predicted increment exceeds
     max(1, 0.01 * phi_cap); blow-up is declared when the profile crosses
     phi_cap or the step falls below h0 * 2^-40 or becomes too small to move
-    r (r + step == r).  A finite blow-up estimate is Richardson-combined
-    from runs at h0 and h0/2 (the walk is first-order), and the finer run's
-    bracket is reported.
+    r (r + step == r).  A blow-up found at h0 is walked again at h0/2, and
+    that walk's report is returned: its bracket, and as the estimate the
+    least float above the bracket's lower end.  If the h0/2 walk reaches
+    r_max, the h0 report is kept with a note.
     """
     _require_walk_sizes(p.n, "r_max", r_max, "h0", h0)
     if not math.isfinite(a):
@@ -545,13 +542,7 @@ def detect_blowup(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
     if fine.status != FINITE_BLOWUP:
         return replace(coarse, notes="refinement at h0/2 reached r_max; "
                                      "keeping the coarse bracket")
-    r1 = coarse.r_estimate
-    r2 = fine.r_estimate
-    lo, hi = fine.bracket
-    richardson = 2.0 * r2 - r1
-    estimate = min(max(richardson, np.nextafter(lo, hi)), hi)
-    return BlowupReport(FINITE_BLOWUP, r_max, r_estimate=float(estimate),
-                        bracket=fine.bracket, profile=fine.profile)
+    return fine
 
 
 def refinement_order(p: ProblemParams, f: Nonlinearity, a: float,

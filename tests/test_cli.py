@@ -103,6 +103,16 @@ class TestSolve:
         assert code == 64
         assert "invalid configuration" in err
 
+    def test_grid_too_large_for_memory_is_usage_error(self, capsys):
+        # r_end / h is below 2^52, but the grid would take 30.9 PiB: numpy
+        # refuses the request at once, and the command ended in a traceback
+        code, out, err = run(capsys, "solve", "--n", "2", "--k", "1",
+                             "--mu", "0", "--f", "exp:1", "--a", "0",
+                             "--r-end", "1", "--h", "2.3e-16")
+        assert code == 64 and out == ""
+        assert err.startswith("invalid configuration: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
     def test_degenerate_tol_is_usage_error(self, tmp_path, capsys, tol):
         # --tol inf used to write the first Picard iterate, phi = 1.0 at

@@ -16,7 +16,7 @@ from hessian_radial import (AdmissibilityError, Nonlinearity,
                             RefinementDiagnosticError, binom, ddphi_at_zero,
                             detect_blowup, dphi_from_integral, epsilon_defect,
                             euler_break_line, per_cell_defect, picard_solve,
-                            refinement_order)
+                            refinement_order, solver)
 from hessian_radial.solver import (_CSV_BLOCK_ROWS, FINITE_BLOWUP, GLOBAL,
                                    ADMISSIBILITY_FAILURE, RadialProfile,
                                    _require_walk_sizes)
@@ -359,7 +359,27 @@ class TestDetectBlowup:
         assert rep.status == FINITE_BLOWUP
         lo, hi = rep.bracket
         assert lo < rep.r_estimate <= hi < r_max
+        # a one-ulp bracket: the least float above lo is hi
+        assert hi == math.nextafter(lo, hi) and rep.r_estimate == hi
         assert np.all(np.diff(rep.profile.grid) > 0)
+
+    def test_report_is_the_h0_half_walk(self):
+        # 2 r2 - r1 from the two walks' estimates, clamped into the bracket,
+        # put this one 7 ulps above lo; in the other 1999 cases of
+        # tools/walk_digest.py it was the least float above lo
+        p, a = ProblemParams(4, 1, -0.447702296968145), 1.6795554482357713
+        f = Nonlinearity.custom(lambda t: t * t if t > 0 else 0.0)
+        r_max, phi_cap, h0 = 2.749397887758877, 30.0, 0.0007932480922558791
+        rep = detect_blowup(p, f, a, r_max=r_max, phi_cap=phi_cap, h0=h0)
+        lo, hi = rep.bracket
+        assert rep.status == FINITE_BLOWUP
+        assert rep.r_estimate == math.nextafter(lo, hi)
+        fine = solver._blowup_walk(p, f, a, r_max, phi_cap, h0 / 2)
+        assert rep.to_dict() == fine.to_dict()
+        for name in ("grid", "phi", "dphi", "volterra"):
+            assert np.array_equal(getattr(rep.profile, name),
+                                  getattr(fine.profile, name))
+        assert rep.profile.truncated_at == fine.profile.truncated_at
 
     # the walk appended windows of steps that do not resolve r, with no end
     @pytest.mark.parametrize("h0", [5e-324, 1e-300])

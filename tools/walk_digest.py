@@ -13,12 +13,19 @@ walk bit for bit:
     python tools/walk_digest.py --src src > new.txt
     diff old.txt new.txt
 
+The first 300 lines are committed as `tests/data/walk_digest.txt`, which
+`tests/test_tools.py` diffs against a fresh run; a change that means to
+alter walks regenerates it from the repository root with
+
+    python tools/walk_digest.py --src src --cases 300 > tests/data/walk_digest.txt
+
 The cases come from the seed alone.  Of every ten, six are general walks
 (`euler_break_line` and `detect_blowup`, all four source families, n <= 6,
 caps 30, 1e4, 1e8 and inf, up to 4000 nodes), three are steep blow-ups
 (`exp:1`-`exp:5` and `pow:1.5`-`pow:3`, h0 in 2^-4..2^-13, 1e-3 and 3e-3,
-r_max 500) and one is a `picard_solve` on a short grid.  The default 2000
-cases take about half a minute on one core.
+r_max 500) and one is a `picard_solve` on a short grid; the first N cases
+of any run are those of `--cases N`.  The default 2000 cases take about
+half a minute on one core.
 """
 
 import argparse
