@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import re
 import sys
 
@@ -191,22 +190,31 @@ def cmd_ko(args) -> int:
     return EXIT_INCONCLUSIVE if ko.classification == INCONCLUSIVE else EXIT_OK
 
 
-_JSON_BOOL = ("false", "true")
+_JSON_BOOL = ("false", "true").__getitem__
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get
 _REPORT_ROW = ('    {\n      "r": %s,\n      "pass": %s,\n      "margin": %s,\n'
                '      "gamma_k_ok": %s,\n      "log_domain": %s\n    }')
+_CSV_ROW = "%.17g,%d,%.17g,%d\n"
 
 
-def _dump_report(fh, payload: dict) -> None:
-    """`json.dump(payload, fh, indent=2)` and a newline, for a verify report
-    ("radii" last, rows from `RadiusCheck.to_dict`): json's indented encoder
-    runs in pure Python, so the rows, nearly all the bytes, use a template."""
-    def num(x):  # json's spelling: repr, NaN, Infinity or -Infinity
-        return repr(x) if math.isfinite(x) else json.dumps(x)
-    rows = ",\n".join(
-        _REPORT_ROW % (num(c["r"]), _JSON_BOOL[c["pass"]], num(c["margin"]),
-                       _JSON_BOOL[c["gamma_k_ok"]], _JSON_BOOL[c["log_domain"]])
-        for c in payload["radii"])
-    head = {key: value for key, value in payload.items() if key != "radii"}
+def _json_floats(column):
+    """json's spelling of each float: repr, NaN, Infinity or -Infinity."""
+    reprs = list(map(repr, column))
+    return map(_JSON_NON_FINITE, reprs, reprs)
+
+
+def _dump_report(fh, report) -> None:
+    """`json.dump({"schema": SCHEMA_ID, **report.to_dict()}, fh, indent=2)`
+    and a newline, for a verify report: json's indented encoder runs in pure
+    Python, so the rows, nearly all the bytes, come from the report's
+    columns through one template."""
+    head = {"schema": SCHEMA_ID, "params": report.params.to_dict(),
+            "A": report.A, "alpha": report.alpha, "passed": report.passed,
+            "first_failure": report.first_failure}
+    rows = ",\n".join(map(_REPORT_ROW.__mod__, zip(
+        _json_floats(report.radii), map(_JSON_BOOL, report.passes),
+        _json_floats(report.margins), map(_JSON_BOOL, report.gamma_k_ok),
+        map(_JSON_BOOL, report.log_domain))))
     fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "radii": ['  # drop "\n}"
              + (f"\n{rows}\n  " if rows else "") + "]\n}\n")
 
@@ -217,12 +225,12 @@ def cmd_verify(args) -> int:
     report = verify_subsolution(p, args.A, args.alpha, radii)
     with _open_out(args.out) as fh:
         if args.format == "json":
-            _dump_report(fh, {"schema": SCHEMA_ID, **report.to_dict()})
+            _dump_report(fh, report)
         else:
             fh.write("r,pass,margin,gamma_k_ok\n")
-            for c in report.checks:
-                fh.write(f"{c.r:.17g},{int(c.passed)},{c.margin:.17g},"
-                         f"{int(c.gamma_k_ok)}\n")
+            fh.writelines(map(_CSV_ROW.__mod__, zip(
+                report.radii, report.passes, report.margins,
+                report.gamma_k_ok)))
     return EXIT_OK
 
 

@@ -13,7 +13,9 @@ raw values stop being representable, so the inequality direction is exact at
 any radius.
 """
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ __all__ = [
 ]
 
 _LOG_HUGE = math.log(1e300)
+_DBL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -105,12 +108,25 @@ class RadiusCheck:
 
 @dataclass(frozen=True)
 class SubsolutionReport:
+    """A verdict per radius, held as columns: row i of `radii`, `passes`,
+    `margins`, `gamma_k_ok` and `log_domain` is the check at `radii[i]`."""
+
     params: ProblemParams
     A: float
     alpha: float
-    checks: list
+    radii: tuple
+    passes: tuple
+    margins: tuple
+    gamma_k_ok: tuple
+    log_domain: tuple
     passed: bool
     first_failure: float | None
+
+    @functools.cached_property
+    def checks(self) -> list:
+        """The rows as :class:`RadiusCheck` objects, built on first access."""
+        return list(map(RadiusCheck, self.radii, self.passes, self.margins,
+                        self.gamma_k_ok, self.log_domain))
 
     def to_dict(self) -> dict:
         return {
@@ -146,6 +162,11 @@ def default_radii(p: ProblemParams, A: float, r_max: float = 10.0,
     return np.unique(pts)
 
 
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """The float function `f` (math.log, math.exp) mapped over `x`."""
+    return np.fromiter(map(f, x.tolist()), float, len(x))
+
+
 def verify_subsolution(p: ProblemParams, A: float, alpha: float, radii,
                        rel_tol: float = 1e-12) -> SubsolutionReport:
     """Check S_k(spectrum) >= u^(k alpha) and Gamma_k membership per radius.
@@ -157,6 +178,8 @@ def verify_subsolution(p: ProblemParams, A: float, alpha: float, radii,
     are data: they are reported per radius, never raised.
     """
     GaussianCandidate(A)
+    if 4.0 * A * A < _DBL_MIN:
+        raise ValueError(f"4 A^2 underflows at A={A}: need A >= 7.46e-155")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     if not 0.0 <= rel_tol < math.inf:
@@ -168,45 +191,46 @@ def verify_subsolution(p: ProblemParams, A: float, alpha: float, radii,
     # S_1..S_k on radius columns, with the bits of the per-radius recurrence
     with np.errstate(over="ignore", invalid="ignore"):
         lam1, lam2 = _scaled_spectrum(p, A, r)
-        # the margin loop's exponents k A r^2 and k alpha A r^2, in its order
-        if not np.isfinite([lam1, lam2, k * A * r * r,
-                            k * alpha * A * r * r]).all():
+        # S_k = e^(k A r^2) S_k(scaled)  vs  u^(k alpha) = e^(k alpha A r^2)
+        log_scale, log_rhs = k * A * r * r, k * alpha * A * r * r
+        if not np.isfinite([lam1, lam2, log_scale, log_rhs]).all():
             raise ValueError("spectrum or k A r^2 not finite: r too big for A")
         sums = _elem_sym([lam1] + [lam2] * (p.n - 1), k)
-        # redo rows where some S_j overflowed on the spectrum times 2^-e, e
-        # chosen to bring |S_k| ~ max|lambda| |lambda_2|^(k-1) near 1
-        over = ~np.isfinite(sums).all(axis=0)
+        # redo rows where some S_j overflowed or fell below the normal floats
+        # on the spectrum times 2^-e, e chosen to bring
+        # |S_k| ~ max|lambda| |lambda_2|^(k-1) near 1; an S_j that is 0 by
+        # cancellation is 0 on the scaled spectrum too
+        redo = ~(np.isfinite(sums) & (abs(sums) >= _DBL_MIN)).all(axis=0)
         shift = np.zeros_like(r)
-        if over.any():
-            e = (np.frexp(np.maximum(abs(lam1[over]), abs(lam2[over])))[1]
-                 + (k - 1) * np.frexp(lam2[over])[1]) // k
-            l1, l2 = np.ldexp(lam1[over], -e), np.ldexp(lam2[over], -e)
-            for s, s_over in zip(sums, _elem_sym([l1] + [l2] * (p.n - 1), k)):
-                s[over] = s_over
-            shift[over] = k * e * math.log(2.0)   # log S_k - log S_k(scaled)
-    gamma = (np.array(sums) > 0.0).all(axis=0)  # as in_gamma_k
-    checks = []
-    first_failure = None
-    for ri, sk_scaled, log_shift, gamma_ok in zip(
-            r.tolist(), sums[-1].tolist(), shift.tolist(), gamma.tolist()):
-        # S_k = e^(k A r^2) sk_scaled  vs  u^(k alpha) = e^(k alpha A r^2)
-        if sk_scaled <= 0.0:
-            ok, margin, log_domain = False, -math.inf, True
-        else:
-            log_sk = math.log(sk_scaled) + log_shift
-            log_lhs = k * A * ri * ri + log_sk
-            log_rhs = k * alpha * A * ri * ri
-            # the exponents cancel before log S_k is added, which a
-            # difference of log_lhs and log_rhs would round away
-            log_margin = (k * A * ri * ri - log_rhs) + log_sk
-            ok = log_margin >= -rel_tol
-            log_domain = max(log_lhs, log_rhs) >= _LOG_HUGE
-            margin = (log_margin if log_domain
-                      else math.exp(log_lhs) - math.exp(log_rhs))
-        passed = bool(ok and gamma_ok)
-        if not passed and first_failure is None:
-            first_failure = ri
-        checks.append(RadiusCheck(ri, passed, float(margin), gamma_ok,
-                                  log_domain))
-    return SubsolutionReport(p, float(A), float(alpha), checks,
-                             all(c.passed for c in checks), first_failure)
+        if redo.any():
+            e = (np.frexp(np.maximum(abs(lam1[redo]), abs(lam2[redo])))[1]
+                 + (k - 1) * np.frexp(lam2[redo])[1]) // k
+            l1, l2 = np.ldexp(lam1[redo], -e), np.ldexp(lam2[redo], -e)
+            sums[:, redo] = _elem_sym([l1] + [l2] * (p.n - 1), k)
+            shift[redo] = k * e * math.log(2.0)   # log S_k - log S_k(scaled)
+        gamma = (sums > 0.0).all(axis=0)  # as in_gamma_k
+        # rows with S_k <= 0 fail with margin -inf in the log domain; the
+        # others take math.log and math.exp, as a one-radius check would
+        logs = ~(sums[-1] <= 0.0)
+        log_sk = _libm(math.log, sums[-1][logs]) + shift[logs]
+        log_scale, log_rhs = log_scale[logs], log_rhs[logs]
+        log_lhs = log_scale + log_sk
+        # the exponents cancel before log S_k is added, which a difference
+        # of log_lhs and log_rhs would round away
+        margin = (log_scale - log_rhs) + log_sk
+        ok, log_domain = np.zeros_like(gamma), np.ones_like(gamma)
+        ok[logs] = margin >= -rel_tol
+        raw = ~(np.maximum(log_lhs, log_rhs) >= _LOG_HUGE)
+        log_domain[logs] = ~raw
+        margin[raw] = (_libm(math.exp, log_lhs[raw])
+                       - _libm(math.exp, log_rhs[raw]))
+    margins = np.full_like(r, -math.inf)
+    margins[logs] = margin
+    passes = ok & gamma
+    radii = tuple(r.tolist())
+    failures = np.flatnonzero(~passes)
+    return SubsolutionReport(
+        p, float(A), float(alpha), radii, tuple(passes.tolist()),
+        tuple(margins.tolist()), tuple(gamma.tolist()),
+        tuple(log_domain.tolist()), not failures.size,
+        radii[failures[0]] if failures.size else None)

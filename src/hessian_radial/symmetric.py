@@ -8,6 +8,8 @@ open cone on which the operator is elliptic.
 import math
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["elem_sym", "elem_sym_all", "in_gamma_k", "binom", "mu_zero"]
 
 
@@ -25,17 +27,21 @@ def elem_sym_all(values: Sequence[float], p: int) -> list[float]:
         raise ValueError(f"order p must satisfy 1 <= p <= {len(lam)}, got {p}")
     if not all(map(math.isfinite, lam)):
         raise ValueError(f"spectrum entries must be finite, got {lam}")
-    return _elem_sym(lam, p)
+    return _elem_sym(lam, p).tolist()
 
 
-def _elem_sym(values, p: int) -> list:
-    """S_1..S_p, unchecked: the coefficients of prod(x + v_i), one linear
-    factor at a time.  Entries may be floats or equal-shape arrays; each update
-    is one `*` and one `+`, which floats and numpy ufuncs round alike."""
-    e = [1.0] + [0.0] * p
-    for v in values:
-        for j in range(p, 0, -1):
-            e[j] = e[j] + v * e[j - 1]
+def _elem_sym(values, p: int) -> np.ndarray:
+    """S_1..S_p, unchecked, as a `(p, ...)` array: the coefficients of
+    prod(x + v_i), one linear factor at a time.  Entries may be floats or
+    equal-shape arrays.  A factor updates every order at once from the
+    coefficients before it, e_j + v e_(j-1), so each entry gets the one `*`
+    and one `+` of the descending scalar loop, which numpy rounds like
+    floats, and like floats overflows to inf without a warning."""
+    e = np.zeros((p + 1,) + np.shape(values[0]))
+    e[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in values:
+            e[1:] += v * e[:-1]
     return e[1:]
 
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hessian_radial import ProblemParams, verify_subsolution
+from hessian_radial import (SCHEMA_ID, ProblemParams, SubsolutionReport,
+                            gaussian, verify_subsolution)
 from hessian_radial.cli import _dump_report, _parse_f_grid, main
 
 
@@ -252,47 +253,72 @@ class TestVerify:
                                  "--mu", "0", "--A", "0.6", "--alpha", "1",
                                  "--r-max", "1.05e154")
 
-
-def _ordered(keys, *values):
-    """Dicts with `keys` in this order (the report's order)."""
-    return st.tuples(*values).map(lambda vals: dict(zip(keys, vals)))
-
-
-_row = _ordered(("r", "pass", "margin", "gamma_k_ok", "log_domain"),
-                st.floats(), st.booleans(), st.floats(), st.booleans(),
-                st.booleans())
-_payload = _ordered(
-    ("schema", "params", "A", "alpha", "passed", "first_failure", "radii"),
-    st.just("hessian-radial/1"),
-    _ordered(("n", "k", "mu"), st.integers(2, 9), st.integers(1, 9),
-             st.floats()),
-    st.floats(), st.floats(), st.booleans(), st.none() | st.floats(),
-    st.lists(_row))
+    # 4 A^2 underflows: the spectrum was 0 and this exited 0 with
+    # gamma_k_ok false at r = 0
+    def test_A_whose_square_underflows_is_quiet_usage_error(self, capsys):
+        assert_quiet_usage_error(capsys, "verify", "--n", "3", "--k", "2",
+                                 "--mu", "0", "--A", "1e-200", "--alpha", "1")
 
 
-def _report_payload(radii):
-    report = verify_subsolution(ProblemParams(3, 2, 0.1), 0.3, 2.0, radii)
-    return {"schema": "hessian-radial/1", **report.to_dict()}
+# every float of a report, the non-finite ones and -0.0 drawn often
+_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+
+
+@st.composite
+def _reports(draw):
+    """A report with arbitrary columns: the writer trusts its fields."""
+    n = draw(st.integers(2, 9))
+    params = ProblemParams(n, draw(st.integers(1, n)),
+                           draw(st.floats(allow_nan=False,
+                                          allow_infinity=False)))
+    rows = draw(st.integers(0, 12))
+
+    def column(values):
+        return tuple(draw(st.lists(values, min_size=rows, max_size=rows)))
+
+    return SubsolutionReport(
+        params, draw(_floats), draw(_floats), column(_floats),
+        column(st.booleans()), column(_floats), column(st.booleans()),
+        column(st.booleans()), draw(st.booleans()),
+        draw(st.none() | _floats))
+
+
+def _report(radii):
+    return verify_subsolution(ProblemParams(3, 2, 0.1), 0.3, 2.0, radii)
 
 
 class TestDumpReport:
-    @given(_payload)
-    @example(_report_payload([]))
-    @example(_report_payload([0.0, 0.5, 60.0, 1e130]))
-    @example({"schema": "hessian-radial/1",
-              "params": {"n": 2, "k": 1, "mu": -0.0}, "A": 5e-324,
-              "alpha": -math.inf, "passed": False, "first_failure": None,
-              "radii": [{"r": x, "pass": True, "margin": y,
-                         "gamma_k_ok": False, "log_domain": True}
-                        for x, y in [(math.inf, -math.inf), (math.nan, -0.0),
-                                     (5e-324, 1e308), (0.1, 1e16)]]})
+    @given(_reports())
+    @example(_report([]))
+    @example(_report([0.0, 0.5, 60.0, 1e130]))
+    @example(SubsolutionReport(
+        ProblemParams(2, 1, -0.0), 5e-324, -math.inf,
+        (math.inf, math.nan, 5e-324, 0.1, -0.0),
+        (True, True, False, True, False),
+        (-math.inf, -0.0, 1e308, 1e16, math.nan),
+        (False, False, True, False, True), (True, True, True, False, False),
+        False, math.nan))
     @settings(max_examples=300, deadline=None)
-    def test_bytes_equal_json_dump(self, payload):
+    def test_bytes_equal_json_dump(self, report):
         want, got = io.StringIO(), io.StringIO()
-        json.dump(payload, want, indent=2)
+        json.dump({"schema": SCHEMA_ID, **report.to_dict()}, want, indent=2)
         want.write("\n")
-        _dump_report(got, payload)
+        _dump_report(got, report)
         assert got.getvalue() == want.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_verify_builds_no_row_objects(self, tmp_path, capsys,
+                                          monkeypatch, fmt):
+        def refuse(*args):
+            raise AssertionError("RadiusCheck built")
+        out = tmp_path / f"verify.{fmt}"
+        argv = ["verify", "--n", "4", "--k", "1", "--mu", "-1", "--A", "0.2",
+                "--alpha", "1", "--format", fmt, "--out", str(out)]
+        assert run(capsys, *argv) == (0, "", "")
+        want = out.read_bytes()
+        monkeypatch.setattr(gaussian, "RadiusCheck", refuse)
+        assert run(capsys, *argv) == (0, "", "")
+        assert out.read_bytes() == want
 
 
 class TestSweep:
@@ -442,9 +468,10 @@ class TestNegativeNumbers:
 
 
 class TestGoldenOutput:
-    """sha256 of CLI output computed before the walk ran in windows, with
-    numpy 2.4.6 on x86-64 (AVX-512): a speed-up must leave these bytes as
-    they are.  A host whose numpy exp or log rounds differently in the last
+    """sha256 of CLI output computed before the walk ran in windows (sweep,
+    solve) and before the Gaussian margins ran on radius columns (verify),
+    with numpy 2.4.6 on x86-64 (AVX-512): a speed-up must leave these bytes
+    as they are.  A host whose numpy exp or log rounds differently in the last
     bit can print other digits."""
 
     def test_sweep_csv(self, tmp_path, capsys):
@@ -464,3 +491,21 @@ class TestGoldenOutput:
         assert code == 3 and out == ""
         assert hashlib.sha256(err.encode()).hexdigest() == (
             "53bed3cd639c5d6e9a10d8d69143d4994e51631d47d4afd60b8122e2f4163f8d")
+
+    @pytest.mark.parametrize("argv,sha", [
+        # 513 rows, 275 of them S_1 <= 0 with margin -inf; first failure 0.392
+        ("--n 4 --k 1 --mu -1 --A 0.2 --alpha 1",
+         "bfd3c939dbf0698b328a05d3267482793d626ecc11539dbc3a16f3b92dcce56d"),
+        ("--n 4 --k 1 --mu -1 --A 0.2 --alpha 1 --format csv",
+         "523683a96c02f905748709537d1a1bc052beb64b16304afe7d2e1458ce8e851b"),
+        # 209 of 512 rows in the log domain
+        ("--n 3 --k 2 --mu 0.1 --A 0.3 --alpha 0.5 --r-max 100",
+         "57569ae0ef9310cdf30ec9f9f79f33bd99178103b030ba91369800de9f2f6b8c"),
+        # below the threshold 0.2887: fails at r = 0
+        ("--n 3 --k 2 --mu 0 --A 0.25 --alpha 1",
+         "10573b99b472f4bb42bb92034761f2011699ea2b6b1212c5f6d135f32973eb23"),
+    ])
+    def test_verify(self, capsys, argv, sha):
+        code, out, _ = run(capsys, "verify", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha

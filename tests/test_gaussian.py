@@ -322,6 +322,77 @@ class TestSkOverflow:
         assert check.margin == pytest.approx(float(want), rel=1e-15)
 
 
+class TestSkUnderflow:
+    # S_4 = lam1 lam2^3 ~ 3.2e-379 rounded to 0, and the row failed with
+    # margin -inf and gamma_k_ok false; the true log margin is +8.0e20
+    def test_sk_underflowing_to_zero_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        p, A, alpha, r = ProblemParams(4, 4, 0.0), 1e-100, -1.0, 1e60
+        want, gamma = mp_log_margin(mp, p, A, alpha, r)
+        check = verify_subsolution(p, A, alpha, [r]).checks[0]
+        assert gamma and want > 0
+        assert check.passed and check.gamma_k_ok and check.log_domain
+        assert check.margin == pytest.approx(float(want), rel=1e-12)
+
+    # S_4 ~ 1.28e-320 is subnormal, with about 11 significant bits: its log
+    # was -736.5802727408192 against -736.58036968016309
+    def test_subnormal_sk_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        p, A, alpha, r = ProblemParams(4, 4, 0.0), 1e-100, 1.0, 2e89
+        want, gamma = mp_log_margin(mp, p, A, alpha, r)
+        check = verify_subsolution(p, A, alpha, [r]).checks[0]
+        assert gamma and check.gamma_k_ok and check.log_domain
+        assert not check.passed
+        assert check.margin == pytest.approx(float(want), rel=1e-12)
+
+    def test_zero_sj_stays_zero(self):
+        # lam2 = 2A (1 + mu r) is exactly 0 at r = 2, so S_2 = S_3 = 0: the
+        # row is redone on the scaled spectrum and keeps its zeros
+        report = verify_subsolution(ProblemParams(4, 3, -0.5), 0.3, 1.0,
+                                    [2.0])
+        assert report.checks[0] == RadiusCheck(2.0, False, -math.inf, False,
+                                               True)
+
+    # 4 A^2 rounds below the smallest normal float under A ~ 7.46e-155;
+    # at A = 1e-200 the spectrum was 0 and r = 0 failed with exit 0
+    @pytest.mark.parametrize("A", [1e-200, 7.4e-155])
+    def test_A_whose_square_underflows_is_value_error(self, A):
+        with pytest.raises(ValueError, match="4 A\\^2 underflows"):
+            verify_subsolution(ProblemParams(3, 2, 0.0), A, 1.0, [0.0, 1.0])
+
+    def test_smallest_A_still_checked(self):
+        A = 7.46e-155
+        assert verify_subsolution(ProblemParams(3, 2, 0.0), A, 1.0,
+                                  [0.0]).first_failure == 0.0
+
+
+class TestReportColumns:
+    P, A, RADII = ProblemParams(3, 2, 0.1), 0.3, [0.0, 0.5, 60.0, 1e130]
+
+    def test_columns_are_tuples_of_python_scalars(self):
+        report = verify_subsolution(self.P, self.A, 1.0, self.RADII)
+        for column, kind in ((report.radii, float), (report.passes, bool),
+                             (report.margins, float),
+                             (report.gamma_k_ok, bool),
+                             (report.log_domain, bool)):
+            assert type(column) is tuple and len(column) == len(self.RADII)
+            assert all(type(x) is kind for x in column)
+
+    def test_equal_inputs_give_equal_reports(self):
+        one = verify_subsolution(self.P, self.A, 1.0, self.RADII)
+        two = verify_subsolution(self.P, self.A, 1.0, np.array(self.RADII))
+        assert one == two and hash(one) == hash(two)
+        assert one != verify_subsolution(self.P, self.A, 0.5, self.RADII)
+
+    def test_checks_are_built_once_from_the_columns(self):
+        report = verify_subsolution(self.P, self.A, 1.0, self.RADII)
+        assert report.checks is report.checks
+        assert [(c.r, c.passed, c.margin, c.gamma_k_ok, c.log_domain)
+                for c in report.checks] == list(zip(
+                    report.radii, report.passes, report.margins,
+                    report.gamma_k_ok, report.log_domain))
+
+
 class TestDefaultRadii:
     # count 2 and 3 used to drop r_max: linspace(0, r_max, 1) is [0]
     @pytest.mark.parametrize("count,want", [

@@ -21,6 +21,7 @@ INLINE_EXIT = {
     "solve --n 2 --k 1 --mu 0 --f exp:1 --a 0 --r-end 2.82 --h 1e-2": 1,
     "solve --n 2 --k 1 --mu 0 --f exp:1 --a 0 --r-end 1 --h 2.3e-16": 64,
     "verify --n 3 --k 3 --mu 0 --A 0.6 --alpha 1 --r-max 1.05e154": 64,
+    "verify --n 3 --k 2 --mu 0 --A 1e-200 --alpha 1": 64,
 }
 
 

@@ -13,6 +13,16 @@ from hessian_radial.symmetric import _elem_sym
 finite_floats = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
 
+def descending_loop(values, p):
+    """S_1..S_p by the scalar recurrence e_j += v e_(j-1), j = p..1, on
+    Python floats: the loop the array recurrence must match bit for bit."""
+    e = [1.0] + [0.0] * p
+    for v in values:
+        for j in range(p, 0, -1):
+            e[j] = e[j] + v * e[j - 1]
+    return e[1:]
+
+
 def oracle_elem_sym(values, p):
     """Coefficient of x^(n-p) in prod(x + v_i), via numpy's root expansion."""
     coeffs = np.poly(-np.asarray(values, dtype=float))
@@ -60,9 +70,19 @@ class TestElemSym:
         got = _elem_sym(cols, p)
         assert len(got) == p
         for i in range(m):
-            want = _elem_sym([float(c[i]) for c in cols], p)
+            want = descending_loop([float(c[i]) for c in cols], p)
             assert [s[i].tobytes() for s in got] == \
                 [np.float64(w).tobytes() for w in want]
+
+    @given(st.lists(st.floats(-1e30, 1e30), min_size=1, max_size=12),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_floats_equal_the_descending_loop(self, values, data):
+        p = data.draw(st.integers(1, len(values)))
+        got = elem_sym_all(values, p)
+        assert all(type(s) is float for s in got)
+        assert [w.hex() for w in got] == \
+            [w.hex() for w in descending_loop(values, p)]
 
 
 class TestGammaK:

@@ -37,3 +37,15 @@ def test_walk_digest_matches_the_committed_digests():
     changed = [line for line, old in zip(got, want) if line != old]
     assert len(got) == len(want) == 300
     assert not changed
+
+
+def test_verify_digest_is_reproducible():
+    first = walk_digest("--verify", "--cases", "20")
+    assert first == walk_digest("--verify", "--cases", "20")
+    lines = first.splitlines()
+    assert [line.split(" ", 2)[:2] for line in lines] == [
+        [str(i), "verify"] for i in range(20)]
+    # both writers are hashed, and each digest is a sha256
+    assert any("--format json" in line for line in lines)
+    assert any("--format csv" in line for line in lines)
+    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)

@@ -1,6 +1,6 @@
 """Digest the break-line walks and Picard solves of one source tree.
 
-    python tools/walk_digest.py --src DIR [--cases N] [--seed S]
+    python tools/walk_digest.py --src DIR [--cases N] [--seed S] [--verify]
 
 imports `hessian_radial` from DIR (a `src/` directory) and prints one line
 per case: its index, the call, and a sha256 over what the call returned --
@@ -26,11 +26,18 @@ caps 30, 1e4, 1e8 and inf, up to 4000 nodes), three are steep blow-ups
 r_max 500) and one is a `picard_solve` on a short grid; the first N cases
 of any run are those of `--cases N`.  The default 2000 cases take about
 half a minute on one core.
+
+With `--verify` the cases are `verify` CLI runs instead (n <= 14, any k,
+mu and alpha in [-3, 3], A in [1e-3, 10], the default --r-max or one up to
+1e150, JSON or CSV), and each digest is a sha256 over the exit code and the
+bytes the CLI wrote to stdout and stderr; two trees diff the same way.
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib
+import io
 import math
 import random
 import sys
@@ -139,16 +146,47 @@ def digest(hr, case):
     return sha.hexdigest()
 
 
+def verify_cases(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 14)
+        argv = ["verify", "--n", str(n), "--k", str(rng.randint(1, n)),
+                "--mu", repr(rng.uniform(-3.0, 3.0)),
+                "--A", repr(10.0 ** rng.uniform(-3.0, 1.0)),
+                "--alpha", repr(rng.uniform(-3.0, 3.0)),
+                "--format", rng.choice(["json", "csv"])]
+        if rng.random() < 0.5:
+            argv += ["--r-max", repr(10.0 ** rng.uniform(-2.0, 150.0))]
+        out.append(argv)
+    return out
+
+
+def verify_digest(cli, argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return hashlib.sha256(f"{code}\n{stdout.getvalue()}\n{stderr.getvalue()}"
+                          .encode()).hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True,
                         help="directory that holds the hessian_radial package")
     parser.add_argument("--cases", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--verify", action="store_true",
+                        help="digest verify CLI runs instead of walks")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     hr = importlib.import_module("hessian_radial")
     print(f"hessian_radial from {hr.__file__}", file=sys.stderr)
+    if args.verify:
+        cli = importlib.import_module("hessian_radial.cli")
+        for i, case in enumerate(verify_cases(args.seed, args.cases)):
+            print(i, " ".join(case), verify_digest(cli, case), flush=True)
+        return
     for i, case in enumerate(cases(args.seed, args.cases)):
         print(i, describe(case), digest(hr, case), flush=True)
 
