@@ -35,7 +35,8 @@ _DBL_MIN = sys.float_info.min
 
 @dataclass(frozen=True)
 class GaussianCandidate:
-    """Candidate u(x) = e^(A |x|^2) with A > 0."""
+    """Candidate u(x) = e^(A |x|^2) with A > 0 and 4 A^2 a normal float:
+    below that the scaled spectrum underflows."""
 
     A: float
 
@@ -43,6 +44,9 @@ class GaussianCandidate:
         if not (math.isfinite(self.A) and self.A > 0):
             raise ValueError(f"Gaussian exponent coefficient must be finite "
                              f"and > 0, got {self.A}")
+        if 4.0 * self.A * self.A < _DBL_MIN:
+            raise ValueError(f"4 A^2 underflows at A={self.A}: "
+                             f"need A >= 7.46e-155")
 
 
 def _scaled_spectrum(p: ProblemParams, A: float, r):
@@ -178,8 +182,6 @@ def verify_subsolution(p: ProblemParams, A: float, alpha: float, radii,
     are data: they are reported per radius, never raised.
     """
     GaussianCandidate(A)
-    if 4.0 * A * A < _DBL_MIN:
-        raise ValueError(f"4 A^2 underflows at A={A}: need A >= 7.46e-155")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     if not 0.0 <= rel_tol < math.inf:

@@ -9,7 +9,9 @@ subsolutions exist, convergence means they do not, in the mu ranges where the
 theory applies.  Built-in families are classified analytically; arbitrary
 nonlinearities get a quadrature + tail-exponent fit with an explicit
 inconclusive band around the boundary exponent 1, because no finite fit can
-distinguish a tail exponent of exactly 1 from 1 +- eps.
+distinguish a tail exponent of exactly 1 from 1 +- eps.  The quadrature sums
+the inner integral on the log scale from k log f, never forming f^k: c f
+(c > 0) shifts log g by a constant and gets the verdict of f.
 """
 
 from dataclasses import dataclass
@@ -38,9 +40,7 @@ OUTSIDE_THEORY = "outside_theory"
 DEFAULT_MARGIN = 0.05
 # Power-law fits with log-log rms residual above this are not trusted.
 FIT_RESIDUAL_MAX = 0.05
-# k * log f beyond this overflows f^k in float64.
-_OVERFLOW_LOG = 700.0
-# Uniform trapezoid nodes for the inner integral over [0, tau_lo].
+# Uniform trapezoid nodes on [0, tau_lo), before the tau grid's first.
 _HEAD_NODES = 4097
 
 
@@ -119,10 +119,6 @@ def ko_classify_analytic(f: Nonlinearity, k: int) -> KOVerdict:
                      "use ko_classify_numeric for custom nonlinearities")
 
 
-def _trapz(values: np.ndarray, grid: np.ndarray) -> float:
-    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(grid)))
-
-
 def ko_classify_numeric(f: Nonlinearity, k: int, tau_lo: float = 1.0,
                         tau_hi: float = 1e6, nodes: int = 400,
                         margin: float = DEFAULT_MARGIN) -> KOVerdict:
@@ -132,6 +128,8 @@ def ko_classify_numeric(f: Nonlinearity, k: int, tau_lo: float = 1.0,
     for the tail exponent p of g(tau) = (int_0^tau f^k)^(-1/(k+1)); p below
     1 - margin (0 <= margin < 1) means divergence, p above 1 + margin (or
     exponential decay) convergence, anything inside the band inconclusive.
+    A source that is +inf at some node converges: the outer integrand is 0
+    from there on.
     """
     if not 0 < tau_lo < tau_hi < np.inf:
         raise ValueError("need finite 0 < tau_lo < tau_hi")
@@ -142,33 +140,33 @@ def ko_classify_numeric(f: Nonlinearity, k: int, tau_lo: float = 1.0,
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k}")
     tau = np.geomspace(tau_lo, tau_hi, nodes)
-    # f^k overflow anywhere on the range forces the inner integral to
-    # overflow too: the source grows at least exponentially, so the outer
-    # integrand decays at least exponentially.
-    klog = k * np.asarray(f.log_eval(tau), dtype=float)
-    if float(np.max(klog)) > _OVERFLOW_LOG:
-        return KOVerdict(
-            CONVERGES, "numeric", exponential_decay=True,
-            tau_range=(tau_lo, tau_hi),
-            note="f^k overflows before tau_hi; super-exponential source")
-    # int_0^tau f^k by trapezoids; f^k on tau is f.pow_k(tau, k), finite here
-    vals = np.exp(klog)
-    head_grid = np.linspace(0.0, tau[0], _HEAD_NODES)
-    head = _trapz(f.pow_k(head_grid, k), head_grid)
-    inc = 0.5 * (vals[1:] + vals[:-1]) * np.diff(tau)
-    inner = head + np.concatenate(([0.0], np.cumsum(inc)))
-    if inner[-1] <= 0.0:
+    grid = np.concatenate(
+        (np.linspace(0.0, tau_lo, _HEAD_NODES, endpoint=False), tau))
+    klog = k * np.asarray(f.log_eval(grid), dtype=float)
+    if klog.max() == np.inf:
+        # from there on the inner integral is inf, the outer integrand 0
+        return KOVerdict(CONVERGES, "numeric", tau_range=(tau_lo, tau_hi),
+                         note=f"f is infinite at t = {grid[klog.argmax()]:.6g}")
+    # int_0^tau f^k by trapezoids, summed on the log scale; the first
+    # _HEAD_NODES cells make up int_0^tau_lo, and cells of width 0 (a
+    # tau_lo near the least float) have log -inf
+    with np.errstate(divide="ignore"):
+        log_width = np.log(0.5 * np.diff(grid))
+    log_inner = np.logaddexp.accumulate(
+        np.logaddexp(klog[1:], klog[:-1]) + log_width)[_HEAD_NODES - 1:]
+    if log_inner[-1] == -np.inf:
         raise ValueError("f vanishes identically on the integration range")
-    if np.any(inner <= 0.0):
+    if log_inner[0] == -np.inf:
         # source switches on late; drop the zero head for the fit
-        keep = inner > 0.0
-        tau, inner = tau[keep], inner[keep]
+        keep = log_inner > -np.inf
+        tau, log_inner = tau[keep], log_inner[keep]
         if len(tau) < nodes // 2:
             raise ValueError("f vanishes on most of the integration range")
-    g = inner ** (-1.0 / (k + 1.0))
-    partial = _trapz(g, tau)
+    log_g = -log_inner / (k + 1.0)
+    g = np.exp(log_g)
+    partial = float(np.sum(0.5 * (g[1:] + g[:-1]) * np.diff(tau)))
     top = tau >= tau[-1] / 10.0
-    log_tau, log_g = np.log(tau[top]), np.log(g[top])
+    log_tau, log_g = np.log(tau[top]), log_g[top]
     slope_ll, icpt_ll = np.polyfit(log_tau, log_g, 1)
     resid_ll = float(np.sqrt(np.mean(
         (log_g - (slope_ll * log_tau + icpt_ll)) ** 2)))

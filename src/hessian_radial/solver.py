@@ -33,8 +33,7 @@ import numpy as np
 
 from .nonlinearity import Nonlinearity
 from .radial import (AdmissibilityError, ProblemParams, _G_into,
-                     _log_G_terms, _slope_into, _smooth_factor, chi,
-                     dphi_from_integral)
+                     _log_G_terms, _slope_into, chi, dphi_from_integral)
 
 __all__ = [
     "SCHEMA_ID", "RadialProfile", "BlowupReport", "NonConvergenceError",
@@ -209,24 +208,27 @@ def _cell_increments(grid: np.ndarray, G: np.ndarray, n: int) -> np.ndarray:
 
 
 def _cells(p: ProblemParams, s: np.ndarray):
-    """:func:`_pass`'s radius parts: the cell weights, log G terms, chi."""
+    """:func:`_pass`'s radius parts: the cell weights, the log G terms at
+    every node, chi past the origin."""
     s0, s1 = s[:-1], s[1:]
-    return (*_cell_weights(s0, s1, p.n), _log_G_terms(p, s1), chi(p, s1))
+    return (*_cell_weights(s0, s1, p.n), _log_G_terms(p, s), chi(p, s1))
 
 
-def _pass(k: int, cells, logf: np.ndarray, G: np.ndarray, I: np.ndarray,
-          dphi: np.ndarray, lo: int) -> None:
-    """The recurrence past node lo, in place: G from log f at the next
-    len(logf) nodes and +inf past them (where phi is +inf), I from I[lo] by
-    running sum of A G(s0) + B G(s1), phi' (+inf where I is not finite)."""
+def _pass(k: int, cells, logf: np.ndarray, I: np.ndarray, dphi: np.ndarray,
+          lo: int) -> None:
+    """The recurrence past node lo, in place: G from log f at the
+    len(logf) nodes from lo and +inf past them (where phi is +inf), I from
+    I[lo] by running sum of A G(s0) + B G(s1), phi' (+inf where I is not
+    finite)."""
     wA, wB, terms, chi_r = cells
-    G1, I1, D1 = G[lo + 1:], I[lo + 1:], dphi[lo + 1:]
+    I1, D1 = I[lo + 1:], dphi[lo + 1:]
     fin = len(logf)
-    _G_into(k, logf, [t[lo:lo + fin] for t in terms], G1[:fin])
-    G1[fin:] = math.inf
-    np.multiply(wB[lo:], G1, out=I1)
+    G = np.empty(len(I) - lo)
+    _G_into(k, logf, [t[lo:lo + fin] for t in terms], G[:fin])
+    G[fin:] = math.inf
+    np.multiply(wB[lo:], G[1:], out=I1)
     # A G(s0) goes through the slope's buffer, which the slope overwrites
-    np.multiply(wA[lo:], G[lo:-1], out=D1)
+    np.multiply(wA[lo:], G[:-1], out=D1)
     I1 += D1
     np.add.accumulate(I[lo:], out=I[lo:])
     _slope_into(k, chi_r[lo:], I1, D1)
@@ -242,11 +244,8 @@ def _forward_pass(p: ProblemParams, f: Nonlinearity, grid: np.ndarray,
     accumulation running to +inf signals blow-up and is caught by the
     callers' finiteness checks."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # three arrays: profiles keep no G
-        logf = f.log_eval(phi)
-        G, I, dphi = (np.zeros(len(grid)) for _ in range(3))
-        _G_into(p.k, logf[:1], _log_G_terms(p, grid[:1]), G[:1])
-        _pass(p.k, cells, logf[1:], G, I, dphi, 0)
+        I, dphi = np.zeros(len(grid)), np.zeros(len(grid))
+        _pass(p.k, cells, f.log_eval(phi), I, dphi, 0)
     return I, dphi
 
 
@@ -310,7 +309,6 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
         step_cap = min(max(1.0, 0.01 * phi_cap), step_cap)
     h_min, tail = h * 2.0 ** -40, 1e-12 * r_end
     r, phi, dphi, I = 0.0, float(a), 0.0, 0.0
-    G = float(_smooth_factor(p, f, r, phi))
     columns = [np.array([[r], [phi], [dphi], [I]])]
     bracket, j, lam = None, 0, 0.0
     # sizes given as numpy scalars make the arithmetic numpy's, and overflow
@@ -342,10 +340,10 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                 s = nodes[j:j + size + 1]
                 steps = r_end - s[:-1] > tail
             m = len(steps) if steps.all() else int(np.argmin(steps))
-            _, rows = _settle_window(p, f, s[:m + 1], G, I, dphi, phi,
+            _, rows = _settle_window(p, f, s[:m + 1], I, dphi, phi,
                                      phi_cap, step, step_cap, lam)
-            columns.append(rows[:4, 1:])
-            r, phi, dphi, I, G = rows[:, -1].tolist()
+            columns.append(rows[:, 1:])
+            r, phi, dphi, I = rows[:, -1].tolist()
             if phi > phi_cap:
                 bracket = tuple(rows[0, -2:].tolist())
                 break
@@ -361,7 +359,7 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
 
 
 def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
-                   G: float, I: float, dphi: float, phi: float,
+                   I: float, dphi: float, phi: float,
                    phi_cap: float, step: float, step_cap: float,
                    lam: float):
     """The break line on the nodes s[0] < ... < s[m] from the state at s[0],
@@ -373,15 +371,15 @@ def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
     whose input the next sweep would change hold the one-step walk's values
     bit for bit, one more at least each sweep.  The first guess has the
     slope dphi e^(lam (s - s[0])).  Returns the sweeps, at most m, and the
-    rows (r, phi, dphi, I, G) up to the first node where phi > phi_cap or
+    rows (r, phi, dphi, I) up to the first node where phi > phi_cap or
     dphi * step > step_cap, else to s[m].
     """
     m, inf = len(s) - 1, math.inf
     cells, width = _cells(p, s), s[1:] - s[:-1]
-    rows = np.empty((5, m + 1))
+    rows = np.empty((4, m + 1))
     rows[0] = s
-    _, phis, dphis, Is, Gs = rows
-    Gs[0], Is[0], phis[0] = G, I, phi
+    _, phis, dphis, Is = rows
+    Is[0], phis[0] = I, phi
     # the guess; e^0 is 1, so the first cell takes the walk's own slope
     np.multiply(dphi, np.exp(lam * (s[:-1] - s[0])), out=dphis[:-1])
     lo, logf = 0, None  # the last settled node; the log f a sweep read
@@ -389,18 +387,18 @@ def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
     for sweep in range(m + 1):
         np.multiply(dphis[lo:-1], width[lo:], out=phis[lo + 1:])
         np.add.accumulate(phis[lo:], out=phis[lo:])
-        ahead = phis[lo + 1:]
+        ahead = phis[lo:]
         # phi never decreases, so only a tail of it can be +inf, where G is
         # +inf and f is not evaluated
-        fin = m - lo if ahead[-1] < inf else int(np.argmin(ahead < inf))
+        fin = len(ahead) if ahead[-1] < inf else int(np.argmin(ahead < inf))
         new = f.log_eval(ahead[:fin])
         if sweep:
-            # node lo + 1 was read at the walk's phi; settled ends at the
-            # first node past it whose log f or tail state changed
+            # nodes lo and lo + 1 were read at the walk's phi; settled ends
+            # at the first node past them whose log f or tail state changed
             both = min(fin, len(logf))
-            same = new[1:both].view(np.int64) == logf[1:both].view(np.int64)
+            same = new[2:both].view(np.int64) == logf[2:both].view(np.int64)
             settled = (lo + 2 + int(same.argmin()) if not same.all()
-                       else m + 1 if fin == len(logf) else lo + 1 + both)
+                       else m + 1 if fin == len(logf) else lo + both)
             # done when all settled, or at a settled stop
             kept, slopes = phis[lo + 1:settled], dphis[lo + 1:settled]
             end = settled - 1 if settled > m else None
@@ -412,7 +410,7 @@ def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
                 return sweep, rows[:, :end + 1]
             new, lo = new[settled - 1 - lo:], settled - 1
         logf = new
-        _pass(p.k, cells, logf, Gs, Is, dphis, lo)
+        _pass(p.k, cells, logf, Is, dphis, lo)
 
 
 def euler_break_line(p: ProblemParams, f: Nonlinearity, a: float,

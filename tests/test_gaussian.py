@@ -360,6 +360,15 @@ class TestSkUnderflow:
         with pytest.raises(ValueError, match="4 A\\^2 underflows"):
             verify_subsolution(ProblemParams(3, 2, 0.0), A, 1.0, [0.0, 1.0])
 
+    # gaussian_spectrum returned [0, 2e-200, 2e-200] at A = 1e-200, where
+    # lambda_1 = 2A at r = 0
+    @pytest.mark.parametrize("A", [1e-200, 7.4e-155])
+    def test_A_whose_square_underflows_is_no_candidate(self, A):
+        with pytest.raises(ValueError, match="4 A\\^2 underflows"):
+            GaussianCandidate(A)
+        with pytest.raises(ValueError, match="4 A\\^2 underflows"):
+            gaussian_spectrum(ProblemParams(3, 2, 0.0), A, 0.0)
+
     def test_smallest_A_still_checked(self):
         A = 7.46e-155
         assert verify_subsolution(ProblemParams(3, 2, 0.0), A, 1.0,

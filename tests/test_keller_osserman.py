@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hessian_radial import (CONVERGES, DIVERGES, EXISTS, INCONCLUSIVE,
                             NOT_EXISTS, OUTSIDE_THEORY, Nonlinearity,
@@ -60,7 +62,9 @@ class TestNumeric:
         assert v.classification == DIVERGES
         assert v.tail_exponent == pytest.approx(2.0 / 3.0, abs=0.02)
 
-    def test_exponential_detected_via_overflow(self):
+    def test_exponential_detected_where_f_k_overflows(self):
+        # f^k = e^tau is past float64 from tau = 710 on; the semi-log fit
+        # reads the decay from log f alone
         v = ko_classify_numeric(Nonlinearity.exponential(1.0), 1, 1.0, 1e6)
         assert v.classification == CONVERGES
         assert v.exponential_decay
@@ -106,8 +110,7 @@ class TestNumeric:
                                                      abs=1e-6)
 
     def test_log_f_evaluated_once_on_the_tau_grid(self):
-        # the overflow screen and the quadrature share one pass over the
-        # 400 tau nodes; the head grid [0, tau_lo] is the other pass
+        # one pass over the head grid [0, tau_lo) and the 400 tau nodes
         calls = []
 
         def counting(t):
@@ -115,6 +118,59 @@ class TestNumeric:
             return (1.0 + t) ** 1.6
         ko_classify_numeric(Nonlinearity.custom(counting), 2)
         assert len(calls) == 400 + _HEAD_NODES
+
+    # the growth integral of c f is c^(-k/(k+1)) times that of f: the
+    # verdict cannot depend on c (const:1e120 at k = 6 and 1e100 (1+t)^0.5
+    # at k = 7 were called convergent by an f^k overflow screen)
+    @given(e=st.floats(-150.0, 150.0), k=st.integers(1, 7),
+           q=st.floats(0.2, 2.0),
+           family=st.sampled_from(["const", "pow", "custom"]))
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_by_a_constant_keeps_the_verdict(self, e, k, q, family):
+        c = 10.0 ** e
+        if family == "const":
+            base, scaled = Nonlinearity.constant(1.0), Nonlinearity.constant(c)
+        else:
+            if family == "pow":
+                base = Nonlinearity.power_cutoff(q)
+            else:
+                base = Nonlinearity.custom(lambda t: (1.0 + t) ** q)
+            scaled = Nonlinearity.custom(lambda t: c * base.eval(t),
+                                         degenerate_at_nonpositive=True)
+        assume(math.isfinite(scaled.eval(1e6)))
+        v0, v1 = ko_classify_numeric(base, k), ko_classify_numeric(scaled, k)
+        assert v1.classification == v0.classification
+        assert v1.tail_exponent == pytest.approx(v0.tail_exponent, abs=1e-9)
+
+    @pytest.mark.parametrize("f,k", [
+        (Nonlinearity.constant(1e120), 6),
+        (Nonlinearity.custom(lambda t: 1e100 * (1.0 + t) ** 0.5), 7)])
+    def test_large_scaled_sources_diverge(self, f, k):
+        assert ko_classify_numeric(f, k).classification == DIVERGES
+
+    def test_steep_power_gets_its_tail_exponent(self):
+        # k log f reaches 60 log 1e6 = 829 at tau_hi, past f^k in float64
+        v = ko_classify_numeric(Nonlinearity.power_cutoff(30.0), 2)
+        assert v.classification == CONVERGES
+        assert v.tail_exponent == pytest.approx(61.0 / 3.0, abs=0.02)
+        assert not v.exponential_decay
+
+    def test_source_infinite_on_part_of_the_range_converges(self):
+        # 1e300 (1+t)^3 overflows to inf past t ~ 564
+        f = Nonlinearity.custom(lambda t: 1e300 * (1.0 + t) ** 3)
+        v = ko_classify_numeric(f, 2)
+        assert v.classification == CONVERGES
+        assert not v.exponential_decay
+        assert "infinite" in v.note
+        assert "super-exponential" not in v.note
+
+    def test_rough_power_law_fit_is_inconclusive(self):
+        # log g of e^(t^0.3) is far from linear in log tau on the top decade
+        f = Nonlinearity.custom(lambda t: math.exp(max(t, 0.0) ** 0.3))
+        v = ko_classify_numeric(f, 1)
+        assert v.classification == INCONCLUSIVE
+        assert v.fit_residual > 0.05
+        assert "fit residual too large" in v.note
 
     # f vanishes below tau = 5 of the grid [1, 1e6]: the fit drops the zero
     # head of the inner integral

@@ -18,8 +18,8 @@ from hessian_radial import (AdmissibilityError, Nonlinearity,
                             euler_break_line, per_cell_defect, picard_solve,
                             refinement_order, solver)
 from hessian_radial.solver import (_CSV_BLOCK_ROWS, FINITE_BLOWUP, GLOBAL,
-                                   ADMISSIBILITY_FAILURE, RadialProfile,
-                                   _require_walk_sizes)
+                                   ADMISSIBILITY_FAILURE, BlowupReport,
+                                   RadialProfile, _require_walk_sizes)
 
 CONST1 = Nonlinearity.constant(1.0)
 EXP1 = Nonlinearity.exponential(1.0)
@@ -380,6 +380,34 @@ class TestDetectBlowup:
             assert np.array_equal(getattr(rep.profile, name),
                                   getattr(fine.profile, name))
         assert rep.profile.truncated_at == fine.profile.truncated_at
+
+    def test_h0_report_kept_when_the_h0_half_walk_is_global(self,
+                                                            monkeypatch):
+        # no known source gets past r_max at h0/2 after blowing up at h0,
+        # so the h0/2 walk is replaced by one that reaches r_max
+        walk, h0s = solver._blowup_walk, []
+
+        def global_at_half_h0(p, f, a, r_max, phi_cap, h0):
+            h0s.append(h0)
+            if len(h0s) == 2:
+                return BlowupReport(GLOBAL, r_max)
+            return walk(p, f, a, r_max, phi_cap, h0)
+        monkeypatch.setattr(solver, "_blowup_walk", global_at_half_h0)
+        p = ProblemParams(2, 1, 0.0)
+        rep = detect_blowup(p, EXP1, 0.0, r_max=10.0, h0=1e-3)
+        assert h0s == [1e-3, 5e-4]
+        coarse = walk(p, EXP1, 0.0, 10.0, 1e8, 1e-3)
+        assert rep.status == FINITE_BLOWUP
+        assert (rep.bracket, rep.r_estimate) == (coarse.bracket,
+                                                 coarse.r_estimate)
+        assert "reached r_max" in rep.notes
+
+    @pytest.mark.parametrize("estimate", [1.0, 0.5, 2.5])
+    def test_report_estimate_must_lie_in_its_bracket(self, estimate):
+        with pytest.raises(ValueError, match=r"estimate must lie in"):
+            BlowupReport(FINITE_BLOWUP, 10.0, r_estimate=estimate,
+                         bracket=(1.0, 2.0))
+        BlowupReport(FINITE_BLOWUP, 10.0, r_estimate=2.0, bracket=(1.0, 2.0))
 
     # the walk appended windows of steps that do not resolve r, with no end
     @pytest.mark.parametrize("h0", [5e-324, 1e-300])

@@ -31,6 +31,10 @@ With `--verify` the cases are `verify` CLI runs instead (n <= 14, any k,
 mu and alpha in [-3, 3], A in [1e-3, 10], the default --r-max or one up to
 1e150, JSON or CSV), and each digest is a sha256 over the exit code and the
 bytes the CLI wrote to stdout and stderr; two trees diff the same way.
+The first 300 of these lines are committed as `tests/data/verify_digest.txt`;
+a change that means to alter verify reports regenerates it with
+
+    python tools/walk_digest.py --src src --verify --cases 300 > tests/data/verify_digest.txt
 """
 
 import argparse
