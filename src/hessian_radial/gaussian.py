@@ -31,6 +31,8 @@ __all__ = [
 
 _LOG_HUGE = math.log(1e300)
 _DBL_MIN = sys.float_info.min
+# relative slack of S_k >= u^(k alpha) in `verify_subsolution`
+_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,21 +173,19 @@ def _libm(f, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, x.tolist()), float, len(x))
 
 
-def verify_subsolution(p: ProblemParams, A: float, alpha: float, radii,
-                       rel_tol: float = 1e-12) -> SubsolutionReport:
+def verify_subsolution(p: ProblemParams, A: float, alpha: float,
+                       radii) -> SubsolutionReport:
     """Check S_k(spectrum) >= u^(k alpha) and Gamma_k membership per radius.
 
     alpha <= 1 is the range with a guarantee at and above the threshold;
     other alpha are accepted and verified empirically.  The inequality is
-    accepted up to a finite relative slack `rel_tol` >= 0 (exact-threshold
-    candidates sit on equality, where roundoff has either sign).  Failures
-    are data: they are reported per radius, never raised.
+    accepted up to a relative slack of 1e-12 (exact-threshold candidates sit
+    on equality, where roundoff has either sign).  Failures are data: they
+    are reported per radius, never raised.
     """
     GaussianCandidate(A)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    if not 0.0 <= rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or np.any(r < 0):
         raise ValueError("radii must be a one-dimensional sequence of r >= 0")
@@ -221,7 +221,7 @@ def verify_subsolution(p: ProblemParams, A: float, alpha: float, radii,
         # of log_lhs and log_rhs would round away
         margin = (log_scale - log_rhs) + log_sk
         ok, log_domain = np.zeros_like(gamma), np.ones_like(gamma)
-        ok[logs] = margin >= -rel_tol
+        ok[logs] = margin >= -_REL_TOL
         raw = ~(np.maximum(log_lhs, log_rhs) >= _LOG_HUGE)
         log_domain[logs] = ~raw
         margin[raw] = (_libm(math.exp, log_lhs[raw])

@@ -7,9 +7,9 @@ The dichotomy is driven by the outer integral
 (lower limit arbitrary positive): divergence means entire admissible
 subsolutions exist, convergence means they do not, in the mu ranges where the
 theory applies.  Built-in families are classified analytically; arbitrary
-nonlinearities get a quadrature + tail-exponent fit with an explicit
-inconclusive band around the boundary exponent 1, because no finite fit can
-distinguish a tail exponent of exactly 1 from 1 +- eps.  The quadrature sums
+nonlinearities get a quadrature + tail-exponent fit on tau in [1, 1e6] with
+an inconclusive band around the boundary exponent 1, because no finite fit
+can tell a tail exponent of exactly 1 from 1 +- eps.  The quadrature sums
 the inner integral on the log scale from k log f, never forming f^k: c f
 (c > 0) shifts log g by a constant and gets the verdict of f.
 """
@@ -40,7 +40,10 @@ OUTSIDE_THEORY = "outside_theory"
 DEFAULT_MARGIN = 0.05
 # Power-law fits with log-log rms residual above this are not trusted.
 FIT_RESIDUAL_MAX = 0.05
-# Uniform trapezoid nodes on [0, tau_lo), before the tau grid's first.
+# The one grid the thresholds above are tuned on: _HEAD_NODES uniform nodes
+# on [0, 1), then _TAU_NODES geometric nodes on _TAU_RANGE.
+_TAU_RANGE = (1.0, 1e6)
+_TAU_NODES = 400
 _HEAD_NODES = 4097
 
 
@@ -119,48 +122,39 @@ def ko_classify_analytic(f: Nonlinearity, k: int) -> KOVerdict:
                      "use ko_classify_numeric for custom nonlinearities")
 
 
-def ko_classify_numeric(f: Nonlinearity, k: int, tau_lo: float = 1.0,
-                        tau_hi: float = 1e6, nodes: int = 400,
-                        margin: float = DEFAULT_MARGIN) -> KOVerdict:
+def ko_classify_numeric(f: Nonlinearity, k: int) -> KOVerdict:
     """Quadrature-based classification on a geometric tau grid.
 
-    Fits log g against log tau on the top decade of [tau_lo, tau_hi] (finite)
-    for the tail exponent p of g(tau) = (int_0^tau f^k)^(-1/(k+1)); p below
-    1 - margin (0 <= margin < 1) means divergence, p above 1 + margin (or
-    exponential decay) convergence, anything inside the band inconclusive.
-    A source that is +inf at some node converges: the outer integrand is 0
-    from there on.
+    Fits log g against log tau on the top decade of tau in [1, 1e6] (400
+    geometric nodes) for the tail exponent p of
+    g(tau) = (int_0^tau f^k)^(-1/(k+1)); p below 1 - DEFAULT_MARGIN means
+    divergence, p above 1 + DEFAULT_MARGIN convergence, anything inside the
+    band inconclusive.  When log g is linear in tau instead, the verdict is
+    convergence by exponential decay, with no tail exponent.  A source that
+    is +inf at some node converges: the outer integrand is 0 from there on.
     """
-    if not 0 < tau_lo < tau_hi < np.inf:
-        raise ValueError("need finite 0 < tau_lo < tau_hi")
-    if not 0.0 <= margin < 1.0:
-        raise ValueError(f"need 0 <= margin < 1, got margin={margin}")
-    if nodes < 100:
-        raise ValueError(f"need at least 100 nodes, got {nodes}")
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k}")
-    tau = np.geomspace(tau_lo, tau_hi, nodes)
+    tau = np.geomspace(*_TAU_RANGE, _TAU_NODES)
     grid = np.concatenate(
-        (np.linspace(0.0, tau_lo, _HEAD_NODES, endpoint=False), tau))
+        (np.linspace(0.0, _TAU_RANGE[0], _HEAD_NODES, endpoint=False), tau))
     klog = k * np.asarray(f.log_eval(grid), dtype=float)
     if klog.max() == np.inf:
         # from there on the inner integral is inf, the outer integrand 0
-        return KOVerdict(CONVERGES, "numeric", tau_range=(tau_lo, tau_hi),
+        return KOVerdict(CONVERGES, "numeric", tau_range=_TAU_RANGE,
                          note=f"f is infinite at t = {grid[klog.argmax()]:.6g}")
     # int_0^tau f^k by trapezoids, summed on the log scale; the first
-    # _HEAD_NODES cells make up int_0^tau_lo, and cells of width 0 (a
-    # tau_lo near the least float) have log -inf
-    with np.errstate(divide="ignore"):
-        log_width = np.log(0.5 * np.diff(grid))
-    log_inner = np.logaddexp.accumulate(
-        np.logaddexp(klog[1:], klog[:-1]) + log_width)[_HEAD_NODES - 1:]
+    # _HEAD_NODES cells make up int_0^1, which is all the fit needs of them
+    cells = np.logaddexp(klog[1:], klog[:-1]) + np.log(0.5 * np.diff(grid))
+    log_inner = np.logaddexp.accumulate(np.concatenate(
+        ([np.logaddexp.reduce(cells[:_HEAD_NODES])], cells[_HEAD_NODES:])))
     if log_inner[-1] == -np.inf:
         raise ValueError("f vanishes identically on the integration range")
     if log_inner[0] == -np.inf:
         # source switches on late; drop the zero head for the fit
         keep = log_inner > -np.inf
         tau, log_inner = tau[keep], log_inner[keep]
-        if len(tau) < nodes // 2:
+        if len(tau) < _TAU_NODES // 2:
             raise ValueError("f vanishes on most of the integration range")
     log_g = -log_inner / (k + 1.0)
     g = np.exp(log_g)
@@ -175,15 +169,16 @@ def ko_classify_numeric(f: Nonlinearity, k: int, tau_lo: float = 1.0,
         (log_g - (slope_exp * tau[top] + icpt_exp)) ** 2)))
     p_hat = -float(slope_ll)
     common = dict(method="numeric", tail_exponent=p_hat,
-                  partial_integral=partial, tau_range=(tau_lo, tau_hi),
+                  partial_integral=partial, tau_range=_TAU_RANGE,
                   fit_residual=resid_ll)
     if slope_exp < 0 and resid_exp < 0.1 * max(resid_ll, 1e-12):
         return KOVerdict(CONVERGES, exponential_decay=True,
-                         **{**common, "fit_residual": resid_exp,
+                         **{**common, "tail_exponent": None,
+                            "fit_residual": resid_exp,
                             "note": "log g is linear in tau: exponential decay"})
-    if p_hat <= 1.0 - margin:
+    if p_hat <= 1.0 - DEFAULT_MARGIN:
         return KOVerdict(DIVERGES, **common)
-    if p_hat >= 1.0 + margin and resid_ll <= FIT_RESIDUAL_MAX:
+    if p_hat >= 1.0 + DEFAULT_MARGIN and resid_ll <= FIT_RESIDUAL_MAX:
         return KOVerdict(CONVERGES, **common)
     note = ("tail exponent within the margin band around 1; the boundary "
             "case is resolved analytically only")

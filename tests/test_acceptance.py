@@ -88,15 +88,14 @@ def test_criterion_3_ko_dichotomy():
             analytic = ko_classify_analytic(f, k)
             want = DIVERGES if q <= 1 else CONVERGES
             ok &= analytic.classification == want
-            numeric = ko_classify_numeric(f, k, 1.0, 1e6)
+            numeric = ko_classify_numeric(f, k)
             if numeric.classification != INCONCLUSIVE:
                 ok &= numeric.classification == analytic.classification
             exponent_err = abs(numeric.tail_exponent - (k * q + 1) / (k + 1))
             ok &= exponent_err <= 0.02
             notes.append(exponent_err)
         for alpha in (0.5, 1.0, 2.0):
-            numeric = ko_classify_numeric(Nonlinearity.exponential(alpha), k,
-                                          1.0, 1e6)
+            numeric = ko_classify_numeric(Nonlinearity.exponential(alpha), k)
             ok &= numeric.classification == CONVERGES
     _report(3, ok, f"analytic dichotomies exact; numeric tail exponent max "
                    f"err {max(notes):.2e} (tol 0.02)")

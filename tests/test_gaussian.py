@@ -227,13 +227,10 @@ class TestVerify:
         assert check.log_domain
         assert check.margin > 0
 
-    # rel_tol=inf passed a candidate below the threshold
-    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan, -1e-12])
-    def test_rel_tol_must_be_finite_and_nonnegative(self, rel_tol):
-        p = ProblemParams(3, 2, 0.1)
-        A = 0.9 * gaussian_threshold(3, 2)
-        with pytest.raises(ValueError, match="rel_tol"):
-            verify_subsolution(p, A, 1.0, default_radii(p, A), rel_tol=rel_tol)
+    def test_slack_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            verify_subsolution(ProblemParams(2, 1, 0.0), 1.0, 1.0, [0.0],
+                               rel_tol=0.0)
 
     def test_report_serialization(self):
         p = ProblemParams(2, 1, 0.0)

@@ -1,6 +1,6 @@
 """Digest the break-line walks and Picard solves of one source tree.
 
-    python tools/walk_digest.py --src DIR [--cases N] [--seed S] [--verify]
+    python tools/walk_digest.py --src DIR [--cases N] [--seed S] [--verify | --ko]
 
 imports `hessian_radial` from DIR (a `src/` directory) and prints one line
 per case: its index, the call, and a sha256 over what the call returned --
@@ -35,6 +35,19 @@ The first 300 of these lines are committed as `tests/data/verify_digest.txt`;
 a change that means to alter verify reports regenerates it with
 
     python tools/walk_digest.py --src src --verify --cases 300 > tests/data/verify_digest.txt
+
+With `--ko` the cases are numeric growth-integral verdicts,
+`ko_classify_numeric(f, k)` at k = 1..7 for each of a run of sources that
+cycles through `const`, `exp`, `pow`, custom `(1+t)^q`, scaled
+`c (1+t)^q`, a source that is 0 up to some t0 and `(1+t)^q` from there
+(some vanish on most of the range and are rejected) and a large `c (1+t)^q`
+that overflows to inf.  Each line gives the classification, the
+`exponential_decay` flag (or the exception's type and `-`) and a sha256 over
+`repr` of the `KOVerdict` or over the exception's type and message.  The
+first 200 of these lines are committed as `tests/data/ko_digest.txt`; a
+change that means to alter numeric verdicts regenerates it with
+
+    python tools/walk_digest.py --src src --ko --cases 200 > tests/data/ko_digest.txt
 """
 
 import argparse
@@ -174,14 +187,84 @@ def verify_digest(cli, argv):
                           .encode()).hexdigest()
 
 
+class Power:
+    """f(t) = c (1+t)^q, 0 for t < t0: a custom source with a readable
+    label."""
+
+    def __init__(self, q, c=1.0, t0=-math.inf):
+        self.q, self.c, self.t0 = q, c, t0
+
+    def __call__(self, t):
+        return 0.0 if t < self.t0 else self.c * (1.0 + t) ** self.q
+
+    def __repr__(self):
+        words = f"(1+t)**{self.q!r}"
+        if self.c != 1.0:
+            words = f"{self.c!r}*{words}"
+        if self.t0 > -math.inf:
+            words = f"0 if t < {self.t0!r} else {words}"
+        return words
+
+
+def _ko_source(rng, kind):
+    q = round(rng.uniform(0.0, 3.0), 3)
+    if kind == "const":
+        return "const", 10.0 ** round(rng.uniform(-150.0, 150.0), 1)
+    if kind == "exp":
+        return "exp", rng.choice([0.0, round(rng.uniform(0.0, 3.0), 3)])
+    if kind == "pow":
+        return "pow", rng.choice([q, float(rng.randint(4, 40))])
+    if kind == "custom":
+        return "custom", Power(q)
+    if kind == "scaled":
+        return "custom", Power(q, 10.0 ** round(rng.uniform(-100.0, 100.0), 1))
+    if kind == "late":
+        return "custom", Power(q, t0=round(10.0 ** rng.uniform(0.0, 5.5), 3))
+    # 1e280..1e307 (1+t)^q, q in [1, 4]: past the largest float before 1e6
+    return "custom", Power(round(rng.uniform(1.0, 4.0), 3),
+                           10.0 ** round(rng.uniform(280.0, 307.0), 1))
+
+
+KO_KINDS = ["const", "exp", "pow", "custom", "scaled", "late", "overflow"]
+
+
+def ko_cases(seed, count):
+    rng = random.Random(seed)
+    sources = [_ko_source(rng, KO_KINDS[i % len(KO_KINDS)])
+               for i in range((count + 6) // 7)]
+    return [(sources[i // 7], i % 7 + 1) for i in range(count)]
+
+
+def ko_line(hr, case):
+    (family, param), k = case
+    if family == "custom":
+        label = repr(param)
+        f = hr.Nonlinearity.custom(param, label=label)
+    else:
+        label, f = f"{family}:{param!r}", _source(hr, family, param)
+    call = f"ko_classify_numeric({label}, {k})"
+    sha = hashlib.sha256()
+    try:
+        verdict = hr.ko_classify_numeric(f, k)
+    except Exception as exc:  # the exception is part of the outcome
+        sha.update(f"{type(exc).__name__}: {exc}".encode())
+        return f"{call} {type(exc).__name__} - {sha.hexdigest()}"
+    sha.update(repr(verdict).encode())
+    return (f"{call} {verdict.classification} {verdict.exponential_decay} "
+            f"{sha.hexdigest()}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True,
                         help="directory that holds the hessian_radial package")
     parser.add_argument("--cases", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--verify", action="store_true",
-                        help="digest verify CLI runs instead of walks")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--verify", action="store_true",
+                      help="digest verify CLI runs instead of walks")
+    mode.add_argument("--ko", action="store_true",
+                      help="digest numeric growth-integral verdicts instead")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     hr = importlib.import_module("hessian_radial")
@@ -190,6 +273,10 @@ def main(argv=None):
         cli = importlib.import_module("hessian_radial.cli")
         for i, case in enumerate(verify_cases(args.seed, args.cases)):
             print(i, " ".join(case), verify_digest(cli, case), flush=True)
+        return
+    if args.ko:
+        for i, case in enumerate(ko_cases(args.seed, args.cases)):
+            print(i, ko_line(hr, case), flush=True)
         return
     for i, case in enumerate(cases(args.seed, args.cases)):
         print(i, describe(case), digest(hr, case), flush=True)
