@@ -2,14 +2,13 @@
 
 Exit codes: 0 ok, 1 `solve` found no fixed point although the blow-up walk
 stays bounded up to r_end, 2 admissibility rejection, 3 blow-up before r_end,
-4 inconclusive classification, 10 I/O failure, 64 usage error (including
-non-finite numbers where a finite one is needed).  A radius (--r-end,
---r-max) must keep r^(n+1), and `verify --r-max` r^2, 4 A^2 r^2, k A r^2 and
-k alpha A r^2, below the largest float; `solve` and `sweep` also need
-r / --h below 2^52.  A rejected sweep tuple gets an `error` row and the
-sweep exits 64 after writing every row.  Outputs are deterministic: CSV
-floats carry 17 significant digits; sweep rows are sorted by parameter
-tuple.
+10 I/O failure, 64 usage error (including non-finite numbers where a finite
+one is needed).  A radius (--r-end, --r-max) must keep r^(n+1), and
+`verify --r-max` r^2, 4 A^2 r^2, k A r^2 and k alpha A r^2, below the
+largest float; `solve` and `sweep` also need r / --h below 2^52.  A
+rejected sweep tuple gets an `error` row and the sweep exits 64 after
+writing every row.  Outputs are deterministic: CSV floats carry 17
+significant digits; sweep rows are sorted by parameter tuple.
 """
 
 import argparse
@@ -22,8 +21,8 @@ import sys
 import numpy as np
 
 from .gaussian import default_radii, verify_subsolution
-from .keller_osserman import (DIVERGES, INCONCLUSIVE, ko_classify_analytic,
-                              ExistenceReport, existence_verdict)
+from .keller_osserman import (DIVERGES, ExistenceReport, existence_verdict,
+                              ko_classify_analytic)
 from .nonlinearity import parse_f_spec
 from .radial import AdmissibilityError, ProblemParams
 from .solver import (FINITE_BLOWUP, SCHEMA_ID, NonConvergenceError,
@@ -34,7 +33,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_ADMISSIBILITY = 2
 EXIT_BLOWUP = 3
-EXIT_INCONCLUSIVE = 4
 EXIT_IO = 10
 EXIT_USAGE = 64
 
@@ -187,7 +185,7 @@ def cmd_ko(args) -> int:
     with _open_out(args.out) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    return EXIT_INCONCLUSIVE if ko.classification == INCONCLUSIVE else EXIT_OK
+    return EXIT_OK
 
 
 _JSON_BOOL = ("false", "true").__getitem__

@@ -145,21 +145,19 @@ class SubsolutionReport:
         }
 
 
-def default_radii(p: ProblemParams, A: float, r_max: float = 10.0,
-                  count: int = 512) -> np.ndarray:
-    """Mixed linear/geometric radius grid on [0, r_max].
+def default_radii(p: ProblemParams, A: float, r_max: float) -> np.ndarray:
+    """Mixed linear/geometric radius grid on [0, r_max]: 256 linear and 256
+    geometric radii.
 
     The inequalities are smooth in r and failures localize either at the
     origin or at the minimum of the trace quadratic, so the grid always
     contains 0 and, for mu < 0, the explicit minimizer r* = -mu n / (4A) of
     the trace slack.
     """
-    if not (math.isfinite(r_max) and r_max > 0) or count < 2:
-        raise ValueError(f"need finite r_max > 0 and count >= 2, got "
-                         f"r_max={r_max}, count={count}")
-    n_lin = max(count // 2, 2)     # 0 and r_max, whatever the count
-    lin = np.linspace(0.0, r_max, n_lin)
-    geo = np.geomspace(r_max * 1e-3, r_max, count - n_lin + 1)[:-1]
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"need finite r_max > 0, got r_max={r_max}")
+    lin = np.linspace(0.0, r_max, 256)
+    geo = np.geomspace(r_max * 1e-3, r_max, 257)[:-1]
     pts = np.concatenate((lin, geo))
     if p.mu < 0 and A > 0:
         r_star = -p.mu * p.n / (4.0 * A)
@@ -187,7 +185,7 @@ def verify_subsolution(p: ProblemParams, A: float, alpha: float,
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     r = np.asarray(radii, dtype=float)
-    if r.ndim != 1 or np.any(r < 0):
+    if r.ndim != 1 or not (r >= 0).all():
         raise ValueError("radii must be a one-dimensional sequence of r >= 0")
     k = p.k
     # S_1..S_k on radius columns, with the bits of the per-radius recurrence

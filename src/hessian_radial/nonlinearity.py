@@ -30,8 +30,9 @@ class Nonlinearity:
     Custom callbacks must be reentrant and pure: the break-line walk evaluates
     f at a node once per sweep of its window, several times in all, and needs
     the same value each time; an impure callback is not detected, and the walk
-    returns columns that no single f gives.  They must return a float, inf
-    allowed, at every finite argument: the walk also evaluates f at the
+    returns columns that no single f gives.  They must return a float >= 0,
+    or +inf, at every finite argument (a negative or nan value raises
+    ValueError in :meth:`log_eval`): the walk also evaluates f at the
     iterates of a window's unsettled part, finite values that can lie far
     beyond any phi the walk keeps.  `degenerate_at_nonpositive` is trusted,
     not proved (use :func:`audit_monotone_positive` for a sampling check).
@@ -104,7 +105,7 @@ class Nonlinearity:
         return float(out[0]) if scalar else out.reshape(np.shape(t))
 
     def log_eval(self, t):
-        """log f(t); -inf where f(t) = 0.  Raises if f(t) < 0."""
+        """log f(t); -inf where f(t) = 0.  Raises if f(t) < 0 or is nan."""
         scalar = np.ndim(t) == 0
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         if self.family == "const":
@@ -119,8 +120,9 @@ class Nonlinearity:
             out[mask] = self.param * np.log(tt[mask])
         else:
             vals = np.array([float(self.fn(float(v))) for v in tt])
-            if np.any(vals < 0):
-                raise ValueError("custom nonlinearity takes negative values")
+            if not (vals >= 0).all():
+                raise ValueError("custom nonlinearity takes negative values "
+                                 "or nan")
             out = np.full_like(vals, -np.inf)
             mask = vals > 0
             out[mask] = np.log(vals[mask])

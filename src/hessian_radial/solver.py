@@ -336,12 +336,13 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                 # one that r + step rounds away, starts a new window
                 steps = ((np.minimum(h, left) == step) & (left > tail)
                          & (s[1:] > s[:-1]))
+                m = len(steps) if steps.all() else int(np.argmin(steps))
+                s = s[:m + 1]
             else:
+                # the grid ends at r_end, its spacing far above tail
                 s = nodes[j:j + size + 1]
-                steps = r_end - s[:-1] > tail
-            m = len(steps) if steps.all() else int(np.argmin(steps))
-            _, rows = _settle_window(p, f, s[:m + 1], I, dphi, phi,
-                                     phi_cap, step, step_cap, lam)
+            _, rows = _settle_window(p, f, s, I, dphi, phi, phi_cap, step,
+                                     step_cap, lam)
             columns.append(rows[:, 1:])
             r, phi, dphi, I = rows[:, -1].tolist()
             if phi > phi_cap:
@@ -543,29 +544,20 @@ def detect_blowup(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
     return fine
 
 
-def refinement_order(p: ProblemParams, f: Nonlinearity, a: float,
-                     r_end: float, h_sequence, method: str = "euler",
-                     reference=None, tol: float = 1e-10,
-                     max_iter: int = 200) -> float:
+def refinement_order(solve, h_sequence, reference=None) -> float:
     """Empirical convergence order from successive error ratios.
 
-    With a `reference` callable (exact solution of r), errors are maximum
-    node deviations from it; otherwise successive endpoint differences
-    between consecutive grids are used.  Raises
-    :class:`RefinementDiagnosticError` when the error sequence does not
-    decrease strictly (including identical profiles across h).
+    `solve` maps a step h to a :class:`RadialProfile`, for example
+    ``lambda h: euler_break_line(p, f, a, r_end, h)``.  With a `reference`
+    callable (exact solution of r), errors are maximum node deviations from
+    it; otherwise successive endpoint differences between consecutive grids
+    are used.  Raises :class:`RefinementDiagnosticError` when the error
+    sequence does not decrease strictly (including identical profiles
+    across h).
     """
     hs = [float(h) for h in h_sequence]
     if len(hs) < 3 or any(h1 >= h0 for h0, h1 in zip(hs, hs[1:])):
         raise ValueError("need >= 3 strictly decreasing steps")
-
-    def solve(h):
-        if method == "euler":
-            return euler_break_line(p, f, a, r_end, h)
-        if method == "picard":
-            return picard_solve(p, f, a, r_end, h, tol=tol, max_iter=max_iter)
-        raise ValueError(f"unknown method {method!r}")
-
     profiles = [solve(h) for h in hs]
     if reference is not None:
         errors = [float(np.max(np.abs(prof.phi - reference(prof.grid))))

@@ -49,8 +49,8 @@ def test_criterion_1_closed_form_cauchy_solution():
             rel[0] = 0.0
             worst_rel = max(worst_rel, float(np.max(rel)))
             orders.append(refinement_order(
-                p, CONST1, a, 10.0, [1e-2, 5e-3, 2.5e-3], method="euler",
-                reference=exact))
+                lambda h: euler_break_line(p, CONST1, a, 10.0, h),
+                [1e-2, 5e-3, 2.5e-3], reference=exact))
     elapsed = time.perf_counter() - t0
     ok = (worst_rel <= 1e-6
           and all(abs(o - 1.0) <= 0.2 for o in orders)
@@ -204,7 +204,7 @@ def test_criterion_6_gaussian_verification():
             thr = gaussian_threshold(n, k)
             for mu in (0.0, 0.1, 0.3):
                 p = ProblemParams(n, k, mu)
-                radii = default_radii(p, thr, 10.0, 512)
+                radii = default_radii(p, thr, 10.0)
                 for alpha in (-1.0, 0.0, 1.0):
                     ok &= verify_subsolution(p, thr, alpha, radii).passed
                     # origin sharpness: 1% below the threshold fails at r = 0
@@ -215,7 +215,7 @@ def test_criterion_6_gaussian_verification():
         for mu in (-1.0, -0.5):
             p = ProblemParams(n, 1, mu)
             A = gaussian_threshold_negative_mu(n, mu)
-            radii = default_radii(p, A, 10.0, 512)
+            radii = default_radii(p, A, 10.0)
             ok &= verify_subsolution(p, A, 1.0, radii).passed
     ok &= all(r == 0.0 for r in first_failures)
     _report(6, ok, "thresholds pass on 512 radii for n <= 5 and the k=1 "

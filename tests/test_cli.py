@@ -340,6 +340,16 @@ class TestSweep:
             estimates = [float(r[6]) for r in rows if float(r[2]) == mu]
             assert all(b <= a + 1e-12 for a, b in zip(estimates, estimates[1:]))
 
+    def test_admissibility_failure_rows(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, _, _ = run(capsys, "sweep", "--n", "3", "--k", "2",
+                         "--mu", "-0.5:0:2", "--f", "exp:1", "--a", "0",
+                         "--r-max", "5", "--out", str(out))
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert rows[0] == "3,2,-0.5,exp:1,0,admissibility_failure,,,"
+        assert rows[1].split(",")[5] == "finite_blowup"
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ("sweep", "--n", "2", "--k", "1", "--f", "exp:1",
                 "--a", "0:1:3", "--mu", "0:0.2:2", "--h", "5e-3")

@@ -8,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessian_radial import Nonlinearity, audit_monotone_positive, parse_f_spec
+from hessian_radial import (Nonlinearity, ProblemParams,
+                            audit_monotone_positive, detect_blowup,
+                            euler_break_line, ko_classify_numeric,
+                            parse_f_spec, picard_solve)
 
 ts = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -56,6 +59,17 @@ class TestEval:
         f = Nonlinearity.custom(lambda t: t)
         with pytest.raises(ValueError, match="negative values"):
             f.log_eval(np.array([1.0, -1.0]))
+
+    def test_nan_custom_value_rejected(self):
+        p = ProblemParams(2, 1, 0.0)
+        f = Nonlinearity.custom(lambda t: math.nan if t > 0.5 else 1.0)
+        late = Nonlinearity.custom(lambda t: math.nan if t > 10 else 1.0)
+        for call in (lambda: euler_break_line(p, f, 0.0, 3.0, 1e-2),
+                     lambda: detect_blowup(p, f, 0.0, r_max=3.0),
+                     lambda: picard_solve(p, f, 0.0, 3.0, 1e-2),
+                     lambda: ko_classify_numeric(late, 1)):
+            with pytest.raises(ValueError, match="negative values or nan"):
+                call()
 
 
 class TestPowK:

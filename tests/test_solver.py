@@ -456,28 +456,26 @@ class TestDetectBlowup:
 class TestRefinementOrder:
     def test_euler_first_order(self):
         p = ProblemParams(3, 2, 0.0)
-        order = refinement_order(p, CONST1, 1.0, 2.0, [1e-2, 5e-3, 2.5e-3],
-                                 method="euler", reference=closed_form(p, 1.0))
+        order = refinement_order(
+            lambda h: euler_break_line(p, CONST1, 1.0, 2.0, h),
+            [1e-2, 5e-3, 2.5e-3], reference=closed_form(p, 1.0))
         assert order == pytest.approx(1.0, abs=0.2)
 
     def test_picard_second_order(self):
         # trapezoid integration of the slope is the dominant error at mu > 0
         p = ProblemParams(2, 1, 0.5)
-        order = refinement_order(p, EXP1, 0.0, 1.0, [4e-2, 2e-2, 1e-2],
-                                 method="picard")
+        order = refinement_order(lambda h: picard_solve(p, EXP1, 0.0, 1.0, h),
+                                 [4e-2, 2e-2, 1e-2])
         assert order == pytest.approx(2.0, abs=0.3)
 
     def test_identical_profiles_diagnostic(self):
         # pow cutoff from a=0 keeps phi identically 0 at every step size
         p = ProblemParams(2, 1, 0.0)
         with pytest.raises(RefinementDiagnosticError):
-            refinement_order(p, Nonlinearity.power_cutoff(1.0), 0.0, 1.0,
-                             [1e-1, 5e-2, 2.5e-2], method="euler")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            refinement_order(ProblemParams(2, 1, 0.0), CONST1, 0.0, 1.0,
-                             [1e-1, 5e-2, 2.5e-2], method="rk4")
+            refinement_order(
+                lambda h: euler_break_line(p, Nonlinearity.power_cutoff(1.0),
+                                           0.0, 1.0, h),
+                [1e-1, 5e-2, 2.5e-2])
 
     def test_error_sequence_that_does_not_decrease(self):
         # first-order endpoint differences follow the gaps of the steps:
@@ -485,13 +483,16 @@ class TestRefinementOrder:
         p = ProblemParams(3, 2, 0.0)
         with pytest.raises(RefinementDiagnosticError,
                            match="not decreasing"):
-            refinement_order(p, CONST1, 1.0, 2.0, [1e-2, 9e-3, 1e-3],
-                             method="euler")
+            refinement_order(
+                lambda h: euler_break_line(p, CONST1, 1.0, 2.0, h),
+                [1e-2, 9e-3, 1e-3])
 
     def test_needs_three_decreasing_steps(self):
         p = ProblemParams(2, 1, 0.0)
         with pytest.raises(ValueError):
-            refinement_order(p, CONST1, 0.0, 1.0, [1e-2, 1e-2, 5e-3])
+            refinement_order(
+                lambda h: euler_break_line(p, CONST1, 0.0, 1.0, h),
+                [1e-2, 1e-2, 5e-3])
 
 
 class TestProfileSerialization:

@@ -11,14 +11,17 @@ KO_DIGESTS = ROOT / "tests" / "data" / "ko_digest.txt"
 
 
 def walk_digest(*args):
+    """A run of `tools/walk_digest.py`: digest lines on stdout, and on
+    stderr the tree, the numpy version and AVX512_SKX dispatch."""
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "walk_digest.py"),
          "--src", str(ROOT / "src"), *args],
-        capture_output=True, text=True, check=True, timeout=120).stdout
+        capture_output=True, text=True, check=True, timeout=120)
 
 
 def test_walk_digest_is_reproducible():
-    first, second = walk_digest("--cases", "20"), walk_digest("--cases", "20")
+    first, second = (walk_digest("--cases", "20").stdout,
+                     walk_digest("--cases", "20").stdout)
     assert first == second
     lines = first.splitlines()
     assert [line.split(" ", 1)[0] for line in lines] == [
@@ -35,15 +38,16 @@ def test_walk_digest_matches_the_committed_digests():
     solve bit for bit leaves them as they are.  A host whose numpy exp or
     log rounds differently in the last bit can give other digests."""
     want = DIGESTS.read_text().splitlines()
-    got = walk_digest("--cases", str(len(want))).splitlines()
+    run = walk_digest("--cases", str(len(want)))
+    got, host = run.stdout.splitlines(), run.stderr
     changed = [line for line, old in zip(got, want) if line != old]
-    assert len(got) == len(want) == 300
-    assert not changed
+    assert len(got) == len(want) == 300, host
+    assert not changed, (host, changed[:3])
 
 
 def test_verify_digest_is_reproducible():
-    first = walk_digest("--verify", "--cases", "20")
-    assert first == walk_digest("--verify", "--cases", "20")
+    first = walk_digest("--verify", "--cases", "20").stdout
+    assert first == walk_digest("--verify", "--cases", "20").stdout
     lines = first.splitlines()
     assert [line.split(" ", 2)[:2] for line in lines] == [
         [str(i), "verify"] for i in range(20)]
@@ -59,10 +63,11 @@ def test_verify_digest_matches_the_committed_digests():
     report byte for byte leaves them as they are.  A host whose numpy exp
     or log rounds differently in the last bit can give other digests."""
     want = VERIFY_DIGESTS.read_text().splitlines()
-    got = walk_digest("--verify", "--cases", str(len(want))).splitlines()
+    run = walk_digest("--verify", "--cases", str(len(want)))
+    got, host = run.stdout.splitlines(), run.stderr
     changed = [line for line, old in zip(got, want) if line != old]
-    assert len(got) == len(want) == 300
-    assert not changed
+    assert len(got) == len(want) == 300, host
+    assert not changed, (host, changed[:3])
 
 
 def test_ko_digest_matches_the_committed_digests():
@@ -72,7 +77,8 @@ def test_ko_digest_matches_the_committed_digests():
     whose numpy exp or log rounds differently in the last bit can give
     other digests."""
     want = KO_DIGESTS.read_text().splitlines()
-    got = walk_digest("--ko", "--cases", str(len(want))).splitlines()
+    run = walk_digest("--ko", "--cases", str(len(want)))
+    got, host = run.stdout.splitlines(), run.stderr
     changed = [line for line, old in zip(got, want) if line != old]
-    assert len(got) == len(want) == 200
-    assert not changed
+    assert len(got) == len(want) == 200, host
+    assert not changed, (host, changed[:3])

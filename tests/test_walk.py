@@ -41,8 +41,9 @@ def float_log(f):
 
     def log_custom(t):
         v = float(f.fn(float(t)))
-        if v < 0:
-            raise ValueError("custom nonlinearity takes negative values")
+        if not v >= 0:
+            raise ValueError("custom nonlinearity takes negative values "
+                             "or nan")
         return float(np.log(v)) if v > 0 else -math.inf
     return log_custom
 

@@ -13,6 +13,11 @@ walk bit for bit:
     python tools/walk_digest.py --src src > new.txt
     diff old.txt new.txt
 
+It names on stderr the tree it imports, the numpy version and whether numpy
+dispatches AVX512_SKX code: the committed digests below were made with
+numpy 2.4.6 on AVX-512, and numpy's exp and log may round differently in
+the last bit elsewhere.
+
 The first 300 lines are committed as `tests/data/walk_digest.txt`, which
 `tests/test_tools.py` diffs against a fresh run; a change that means to
 alter walks regenerates it from the repository root with
@@ -58,6 +63,8 @@ import io
 import math
 import random
 import sys
+
+import numpy
 
 PAIRS = [(n, k) for n in range(2, 7) for k in range(1, n + 1)]
 CAPS = [30.0, 1e4, 1e8, math.inf]
@@ -268,7 +275,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     hr = importlib.import_module("hessian_radial")
-    print(f"hessian_radial from {hr.__file__}", file=sys.stderr)
+    avx512 = numpy._core._multiarray_umath.__cpu_features__.get("AVX512_SKX")
+    print(f"hessian_radial from {hr.__file__}; numpy {numpy.__version__}, "
+          f"AVX512_SKX {avx512}", file=sys.stderr)
     if args.verify:
         cli = importlib.import_module("hessian_radial.cli")
         for i, case in enumerate(verify_cases(args.seed, args.cases)):
