@@ -8,23 +8,20 @@ nonexistence, and closed-form Gaussian candidate verifiers.
 """
 
 from .symmetric import binom, elem_sym, elem_sym_all, in_gamma_k, mu_zero
-from .nonlinearity import (AuditReport, Nonlinearity, audit_monotone_positive,
-                           parse_f_spec)
+from .nonlinearity import Nonlinearity, parse_f_spec
 from .radial import (AdmissibilityError, ProblemParams, SingularityError,
                      chi, ddphi_at_zero, ddphi_from_ode, dphi_from_integral,
-                     ode_residual, radial_spectrum, sk_radial,
-                     volterra_integrand)
+                     ode_residual, radial_spectrum, sk_radial)
 from .solver import (SCHEMA_ID, BlowupReport, NonConvergenceError,
                      RadialProfile, RefinementDiagnosticError, detect_blowup,
-                     epsilon_defect, euler_break_line, per_cell_defect,
-                     picard_solve, refinement_order)
+                     euler_break_line, per_cell_defect, picard_solve,
+                     refinement_order)
 from .keller_osserman import (CONVERGES, DIVERGES, EXISTS, INCONCLUSIVE,
                               NOT_EXISTS, OUTSIDE_THEORY, ExistenceReport,
                               KOVerdict, existence_verdict,
                               ko_classify_analytic, ko_classify_numeric)
 from .gaussian import (GaussianCandidate, RadiusCheck, SubsolutionReport,
-                       cauchy_young_slack, default_radii, gaussian_spectrum,
-                       gaussian_threshold, gaussian_threshold_negative_mu,
-                       verify_subsolution)
+                       default_radii, gaussian_spectrum, gaussian_threshold,
+                       gaussian_threshold_negative_mu, verify_subsolution)
 
 __version__ = "0.1.0"

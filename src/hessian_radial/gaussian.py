@@ -26,7 +26,7 @@ from .symmetric import _elem_sym, binom
 __all__ = [
     "GaussianCandidate", "RadiusCheck", "SubsolutionReport",
     "gaussian_spectrum", "verify_subsolution", "gaussian_threshold",
-    "gaussian_threshold_negative_mu", "cauchy_young_slack", "default_radii",
+    "gaussian_threshold_negative_mu", "default_radii",
 ]
 
 _LOG_HUGE = math.log(1e300)
@@ -89,14 +89,6 @@ def gaussian_threshold_negative_mu(n: int, mu: float) -> float:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return 1.0 / (2.0 * n) + n * mu * mu / 8.0
-
-
-def cauchy_young_slack(n: int, mu: float, A: float, r: float) -> float:
-    """4 A^2 r^2 + 2 A n + 2 A n mu r - 1: the trace margin of the Gaussian
-    for k = 1, nonnegative for all r whenever A is at or above
-    :func:`gaussian_threshold_negative_mu` (Cauchy-Young bound on the cross
-    term 2 A n mu r)."""
-    return 4.0 * A * A * r * r + 2.0 * A * n + 2.0 * A * n * mu * r - 1.0
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Nonlinearity", "AuditReport", "parse_f_spec", "audit_monotone_positive"]
+__all__ = ["Nonlinearity", "parse_f_spec"]
 
 _FAMILIES = ("const", "exp", "pow", "custom")
 
@@ -32,16 +32,14 @@ class Nonlinearity:
     the same value each time; an impure callback is not detected, and the walk
     returns columns that no single f gives.  They must return a float >= 0,
     or +inf, at every finite argument (a negative or nan value raises
-    ValueError in :meth:`log_eval`): the walk also evaluates f at the
-    iterates of a window's unsettled part, finite values that can lie far
-    beyond any phi the walk keeps.  `degenerate_at_nonpositive` is trusted,
-    not proved (use :func:`audit_monotone_positive` for a sampling check).
+    ValueError in :meth:`eval` and :meth:`log_eval`): the walk also
+    evaluates f at the iterates of a window's unsettled part, finite values
+    that can lie far beyond any phi the walk keeps.
     """
 
     family: str
     param: float | None = None
     fn: Callable[[float], float] | None = None
-    degenerate_at_nonpositive: bool = False
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
@@ -79,16 +77,16 @@ class Nonlinearity:
 
     @classmethod
     def power_cutoff(cls, q: float) -> "Nonlinearity":
-        return cls("pow", float(q), degenerate_at_nonpositive=True)
+        return cls("pow", float(q))
 
     @classmethod
     def custom(cls, fn: Callable[[float], float], *,
-               degenerate_at_nonpositive: bool = False,
                label: str = "custom") -> "Nonlinearity":
-        return cls("custom", None, fn, degenerate_at_nonpositive, label)
+        return cls("custom", None, fn, label=label)
 
     def eval(self, t):
-        """f(t) for a scalar or ndarray argument; pow:q returns 0 for t <= 0."""
+        """f(t) for a scalar or ndarray argument; pow:q returns 0 for t <= 0.
+        Raises if f(t) < 0 or is nan."""
         scalar = np.ndim(t) == 0
         tt = np.atleast_1d(np.asarray(t, dtype=float))
         if self.family == "const":
@@ -101,7 +99,7 @@ class Nonlinearity:
             mask = tt > 0
             out[mask] = tt[mask] ** self.param
         else:
-            out = np.array([float(self.fn(float(v))) for v in tt])
+            out = self._custom_values(tt)
         return float(out[0]) if scalar else out.reshape(np.shape(t))
 
     def log_eval(self, t):
@@ -119,14 +117,19 @@ class Nonlinearity:
             mask = tt > 0
             out[mask] = self.param * np.log(tt[mask])
         else:
-            vals = np.array([float(self.fn(float(v))) for v in tt])
-            if not (vals >= 0).all():
-                raise ValueError("custom nonlinearity takes negative values "
-                                 "or nan")
+            vals = self._custom_values(tt)
             out = np.full_like(vals, -np.inf)
             mask = vals > 0
             out[mask] = np.log(vals[mask])
         return float(out[0]) if scalar else out.reshape(np.shape(t))
+
+    def _custom_values(self, tt):
+        """The callback's values on `tt`, checked to be >= 0 or +inf."""
+        vals = np.array([float(self.fn(float(v))) for v in tt])
+        if not (vals >= 0).all():
+            raise ValueError("custom nonlinearity takes negative values "
+                             "or nan")
+        return vals
 
     def pow_k(self, t, k: int):
         """f(t)^k via exp(k * log f(t)); exactly 0 where f vanishes."""
@@ -155,46 +158,3 @@ def parse_f_spec(spec: str) -> Nonlinearity:
     if family == "pow":
         return Nonlinearity.power_cutoff(value)
     raise ValueError(f"bad f spec {spec!r}; unknown family {family!r}")
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    passed: bool
-    positivity_ok: bool
-    monotone_ok: bool
-    degenerate_flagged: bool
-    violations: list
-
-
-def audit_monotone_positive(f: Nonlinearity, t_lo: float, t_hi: float,
-                            samples: int) -> AuditReport:
-    """Sample f on a uniform grid and flag positivity/monotonicity violations.
-
-    Advisory only: finitely many samples cannot prove the analytic
-    hypotheses.  Degenerate families are allowed to vanish at t <= 0; that is
-    noted, not flagged.
-    """
-    if not t_lo < t_hi:
-        raise ValueError("audit needs t_lo < t_hi")
-    if samples < 2:
-        raise ValueError("audit needs at least 2 samples")
-    ts = np.linspace(t_lo, t_hi, samples)
-    vals = [float(f.eval(float(t))) for t in ts]
-    violations = []
-    positivity_ok = True
-    degenerate_flagged = False
-    for t, v in zip(ts, vals):
-        if v > 0:
-            continue
-        if v == 0 and t <= 0 and f.degenerate_at_nonpositive:
-            degenerate_flagged = True
-        else:
-            positivity_ok = False
-            violations.append(("positivity", float(t), v))
-    monotone_ok = True
-    for t0, v0, t1, v1 in zip(ts, vals, ts[1:], vals[1:]):
-        if v1 < v0:
-            monotone_ok = False
-            violations.append(("monotonicity", float(t0), float(t1), v0, v1))
-    return AuditReport(positivity_ok and monotone_ok, positivity_ok,
-                       monotone_ok, degenerate_flagged, violations)

@@ -21,8 +21,8 @@ from .symmetric import binom, mu_zero
 
 __all__ = [
     "ProblemParams", "AdmissibilityError", "SingularityError",
-    "radial_spectrum", "sk_radial", "chi", "volterra_integrand",
-    "dphi_from_integral", "ode_residual", "ddphi_at_zero", "ddphi_from_ode",
+    "radial_spectrum", "sk_radial", "chi", "dphi_from_integral",
+    "ode_residual", "ddphi_at_zero", "ddphi_from_ode",
 ]
 
 
@@ -165,19 +165,6 @@ def _smooth_factor(p: ProblemParams, f, s, phi_s):
     with np.errstate(over="ignore"):
         return _G_into(p.k, f.log_eval(phi_s), terms,
                        np.empty(np.broadcast(s, phi_s).shape))
-
-
-def volterra_integrand(p: ProblemParams, f, s, phi_s):
-    """Integrand (k/C(n-1,k-1)) e^(n mu s) s^(n-1) (1+mu s)^(1-k) f(phi)^k.
-
-    For k = 1 the (1+mu s) factor is absent, so the integrand is continuous
-    on (0, inf) for every mu.
-    """
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
-        raise ValueError("volterra_integrand needs s > 0")
-    out = s_arr ** (p.n - 1) * _smooth_factor(p, f, s_arr, phi_s)
-    return float(out) if np.ndim(s) == 0 else out
 
 
 def dphi_from_integral(p: ProblemParams, r, I):

@@ -38,7 +38,7 @@ from .radial import (AdmissibilityError, ProblemParams, _G_into,
 __all__ = [
     "SCHEMA_ID", "RadialProfile", "BlowupReport", "NonConvergenceError",
     "RefinementDiagnosticError", "euler_break_line", "picard_solve",
-    "per_cell_defect", "epsilon_defect", "detect_blowup", "refinement_order",
+    "per_cell_defect", "detect_blowup", "refinement_order",
 ]
 
 SCHEMA_ID = "hessian-radial/1"
@@ -487,11 +487,6 @@ def per_cell_defect(profile: RadialProfile) -> np.ndarray:
     slope = np.diff(phi) / np.diff(g)
     F_mid = dphi_from_integral(profile.params, mid, I_mid)
     return np.abs(slope - F_mid)
-
-
-def epsilon_defect(profile: RadialProfile) -> float:
-    """Maximum slope defect over all cells."""
-    return float(np.max(per_cell_defect(profile)))
 
 
 def _blowup_walk(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessian_radial import (GaussianCandidate, ProblemParams, RadiusCheck,
-                            cauchy_young_slack, default_radii, elem_sym,
-                            elem_sym_all, gaussian_spectrum,
+                            default_radii, elem_sym, elem_sym_all,
+                            gaussian_spectrum,
                             gaussian_threshold, gaussian_threshold_negative_mu,
                             verify_subsolution)
 
@@ -131,10 +131,8 @@ class TestThresholds:
 
 
 class TestSlack:
-    def test_spec_values(self):
-        assert cauchy_young_slack(2, -1.0, 0.5, 1.0) == pytest.approx(0.0)
-        assert cauchy_young_slack(2, -1.0, 0.5, 0.0) == pytest.approx(1.0)
-        assert cauchy_young_slack(2, -1.0, 0.1, 1.0) == pytest.approx(-0.96)
+    """The trace margin 4 A^2 r^2 + 2 A n + 2 A n mu r - 1 of the Gaussian
+    for k = 1 is nonnegative for all r at or above the mu < 0 threshold."""
 
     def test_minimum_nonnegative_at_threshold(self):
         # oracle: one-dimensional minimization of the quadratic in r
@@ -143,7 +141,8 @@ class TestSlack:
             for mu in (-1.0, -0.5, -0.25):
                 A = gaussian_threshold_negative_mu(n, mu)
                 res = minimize_scalar(
-                    lambda r: cauchy_young_slack(n, mu, A, r),
+                    lambda r: 4 * A * A * r * r + 2 * A * n
+                    + 2 * A * n * mu * r - 1.0,
                     bounds=(0.0, 100.0), method="bounded")
                 assert res.fun >= -1e-9
                 # the analytic minimizer is r* = -mu n / (4A)

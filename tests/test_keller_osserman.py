@@ -119,9 +119,7 @@ class TestNumeric:
     def test_scaling_does_not_change_classification(self):
         for q in (0.5, 2.0):
             base = Nonlinearity.power_cutoff(q)
-            scaled = Nonlinearity.custom(
-                lambda t, b=base: 7.0 * b.eval(t),
-                degenerate_at_nonpositive=True)
+            scaled = Nonlinearity.custom(lambda t, b=base: 7.0 * b.eval(t))
             v0 = ko_classify_numeric(base, 2)
             v1 = ko_classify_numeric(scaled, 2)
             assert v0.classification == v1.classification
@@ -154,8 +152,7 @@ class TestNumeric:
                 base = Nonlinearity.power_cutoff(q)
             else:
                 base = Nonlinearity.custom(lambda t: (1.0 + t) ** q)
-            scaled = Nonlinearity.custom(lambda t: c * base.eval(t),
-                                         degenerate_at_nonpositive=True)
+            scaled = Nonlinearity.custom(lambda t: c * base.eval(t))
         assume(math.isfinite(scaled.eval(1e6)))
         v0, v1 = ko_classify_numeric(base, k), ko_classify_numeric(scaled, k)
         assert v1.classification == v0.classification
@@ -207,8 +204,7 @@ class TestNumeric:
             ko_classify_numeric(f, 1)
 
     def test_vanishing_source_rejected(self):
-        f = Nonlinearity.custom(lambda t: 0.0,
-                                degenerate_at_nonpositive=True)
+        f = Nonlinearity.custom(lambda t: 0.0)
         with pytest.raises(ValueError):
             ko_classify_numeric(f, 1)
 

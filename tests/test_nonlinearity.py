@@ -1,4 +1,4 @@
-"""Source-term families, spec parsing, powers and the sampling audit."""
+"""Source-term families, spec parsing and powers."""
 
 import math
 import sys
@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessian_radial import (Nonlinearity, ProblemParams,
-                            audit_monotone_positive, detect_blowup,
-                            euler_break_line, ko_classify_numeric,
-                            parse_f_spec, picard_solve)
+from hessian_radial import (Nonlinearity, ProblemParams, ddphi_at_zero,
+                            detect_blowup, euler_break_line,
+                            ko_classify_numeric, parse_f_spec, picard_solve)
 
 ts = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -64,10 +63,15 @@ class TestEval:
         p = ProblemParams(2, 1, 0.0)
         f = Nonlinearity.custom(lambda t: math.nan if t > 0.5 else 1.0)
         late = Nonlinearity.custom(lambda t: math.nan if t > 10 else 1.0)
+        negative = Nonlinearity.custom(lambda t: -1.0)
+        nan = Nonlinearity.custom(lambda t: math.nan)
         for call in (lambda: euler_break_line(p, f, 0.0, 3.0, 1e-2),
                      lambda: detect_blowup(p, f, 0.0, r_max=3.0),
                      lambda: picard_solve(p, f, 0.0, 3.0, 1e-2),
-                     lambda: ko_classify_numeric(late, 1)):
+                     lambda: ko_classify_numeric(late, 1),
+                     lambda: ddphi_at_zero(p, negative, 0.0),
+                     lambda: ddphi_at_zero(p, nan, 0.0),
+                     lambda: f.eval(np.array([0.0, 1.0]))):
             with pytest.raises(ValueError, match="negative values or nan"):
                 call()
 
@@ -176,31 +180,3 @@ class TestParse:
     def test_rejects_malformed(self, spec):
         with pytest.raises(ValueError):
             parse_f_spec(spec)
-
-
-class TestAudit:
-    def test_exponential_passes(self):
-        report = audit_monotone_positive(Nonlinearity.exponential(1.0),
-                                         -5.0, 5.0, 100)
-        assert report.passed and not report.degenerate_flagged
-
-    def test_decreasing_custom_fails_at_first_pair(self):
-        f = Nonlinearity.custom(lambda t: -t)
-        report = audit_monotone_positive(f, 0.0, 1.0, 10)
-        assert not report.passed
-        assert not report.monotone_ok
-        kinds = {v[0] for v in report.violations}
-        assert "monotonicity" in kinds
-
-    def test_power_cutoff_passes_with_degenerate_note(self):
-        report = audit_monotone_positive(Nonlinearity.power_cutoff(2.0),
-                                         -1.0, 1.0, 50)
-        assert report.passed
-        assert report.degenerate_flagged
-
-    def test_preconditions(self):
-        f = Nonlinearity.constant(1.0)
-        with pytest.raises(ValueError):
-            audit_monotone_positive(f, 1.0, 0.0, 10)
-        with pytest.raises(ValueError):
-            audit_monotone_positive(f, 0.0, 1.0, 1)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hessian_radial import (Nonlinearity, ProblemParams, SingularityError,
                             binom, chi, ddphi_at_zero, ddphi_from_ode,
                             dphi_from_integral, elem_sym, ode_residual,
-                            radial_spectrum, sk_radial, volterra_integrand)
+                            radial_spectrum, sk_radial)
 from hessian_radial.radial import _smooth_factor
 from hessian_radial.solver import (FINITE_BLOWUP, _cell_increment,
                                    _cell_increments, _cell_weights, _cells,
@@ -216,40 +216,26 @@ class TestChi:
 
 
 class TestVolterraIntegrand:
-    def test_values(self):
-        p = ProblemParams(2, 1, 0.0)
-        assert volterra_integrand(p, CONST1, 3.0, 42.0) == pytest.approx(3.0)
-        p = ProblemParams(3, 2, 0.0)
-        assert volterra_integrand(p, CONST1, 2.0, 0.0) == pytest.approx(4.0)
-        p = ProblemParams(2, 1, 1.0)
-        f = Nonlinearity.exponential(1.0)
-        assert volterra_integrand(p, f, 1.0, 0.0) == \
-            pytest.approx(math.exp(2.0), rel=1e-13)
+    """The integrand's factor G = (k/C(n-1,k-1)) e^(n mu s) (1+mu s)^(1-k)
+    f^k, which radial._smooth_factor forms from log f."""
 
     def test_continuous_for_k1_any_mu(self):
         # no (1 + mu s) factor when k = 1: finite across s = -1/mu
         p = ProblemParams(3, 1, -2.0)
-        values = [volterra_integrand(p, CONST1, s, 0.0)
-                  for s in (0.49, 0.5, 0.51)]
-        assert all(math.isfinite(v) and v > 0 for v in values)
+        values = _smooth_factor(p, CONST1, np.array([0.49, 0.5, 0.51]), 0.0)
+        assert np.isfinite(values).all() and (values > 0).all()
 
     def test_singularity_for_k2(self):
-        p = ProblemParams(3, 2, -2.0)
+        # at s = -1/mu, 1 + mu s = 0 exactly
         with pytest.raises(SingularityError):
-            volterra_integrand(p, CONST1, 0.5, 0.0)
+            _smooth_factor(ProblemParams(3, 2, -2.0), CONST1, 0.5, 0.0)
 
     @pytest.mark.parametrize("s", [0.6, 5.0, np.array([0.1, 0.6])])
     def test_past_the_singularity_for_k2(self, s):
-        # past s = -1/mu, 1 + mu s < 0: the factor (1 + mu s)^(1-k) does not
-        # belong to an admissible profile, and no value is returned
-        with pytest.raises(SingularityError):
-            volterra_integrand(ProblemParams(3, 2, -2.0), CONST1, s, 0.0)
+        # past s = -1/mu, 1 + mu s < 0: the factor (1 + mu s)^(1-k) of G
+        # does not belong to an admissible profile, and no value is returned
         with pytest.raises(SingularityError):
             _smooth_factor(ProblemParams(4, 3, -1.0), CONST1, s * 2, 0.0)
-
-    def test_needs_positive_s(self):
-        with pytest.raises(ValueError):
-            volterra_integrand(ProblemParams(2, 1, 0.0), CONST1, 0.0, 0.0)
 
 
 class TestDphiFromIntegral:

@@ -1,12 +1,15 @@
 """The README's examples: every CLI command it shows exits with the code it
-documents, and the library quick start runs."""
+documents, the library quick start runs, and the public API is the listed
+one."""
 
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import hessian_radial
 from hessian_radial.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -55,3 +58,36 @@ def test_library_quick_start(capsys):
     exec(compile(code, "README.md", "exec"), {})
     # exp:1 with k = 2: the growth integral converges, and mu = 0.1 < mu0
     assert capsys.readouterr().out.splitlines()[-1] == "not_exists"
+
+
+# every name the package exports; adding or deleting one is a change of the
+# public API, made here too
+PUBLIC_API = [
+    "AdmissibilityError", "BlowupReport", "CONVERGES", "DIVERGES", "EXISTS",
+    "ExistenceReport", "GaussianCandidate", "INCONCLUSIVE", "KOVerdict",
+    "NOT_EXISTS", "NonConvergenceError", "Nonlinearity", "OUTSIDE_THEORY",
+    "ProblemParams", "RadialProfile", "RadiusCheck",
+    "RefinementDiagnosticError", "SCHEMA_ID", "SingularityError",
+    "SubsolutionReport", "binom", "chi", "ddphi_at_zero", "ddphi_from_ode",
+    "default_radii", "detect_blowup", "dphi_from_integral", "elem_sym",
+    "elem_sym_all", "euler_break_line", "existence_verdict",
+    "gaussian_spectrum", "gaussian_threshold",
+    "gaussian_threshold_negative_mu", "in_gamma_k", "ko_classify_analytic",
+    "ko_classify_numeric", "mu_zero", "ode_residual", "parse_f_spec",
+    "per_cell_defect", "picard_solve", "radial_spectrum", "refinement_order",
+    "sk_radial", "verify_subsolution",
+]
+
+
+def test_public_api_is_the_listed_one():
+    # submodules are attributes once imported, but not exports
+    names = sorted(name for name, value in vars(hessian_radial).items()
+                   if not name.startswith("_")
+                   and not isinstance(value, types.ModuleType))
+    assert names == PUBLIC_API
+
+
+def test_quick_start_uses_only_public_api():
+    (code,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    used = set(re.findall(r"\bhr\.(\w+)", code))
+    assert used and used <= set(PUBLIC_API)

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from hessian_radial import (AdmissibilityError, Nonlinearity,
                             NonConvergenceError, ProblemParams,
                             RefinementDiagnosticError, binom, ddphi_at_zero,
-                            detect_blowup, dphi_from_integral, epsilon_defect,
+                            detect_blowup, dphi_from_integral,
                             euler_break_line, per_cell_defect, picard_solve,
                             refinement_order, solver)
 from hessian_radial.solver import (_CSV_BLOCK_ROWS, FINITE_BLOWUP, GLOBAL,
@@ -282,22 +282,22 @@ class TestDefect:
         profile = RadialProfile(grid, np.array([0.0, 0.0]),
                                 np.array([0.0, 0.0]), np.array([0.0, 0.5]),
                                 p, CONST1)
-        defect = epsilon_defect(profile)
+        defect = np.max(per_cell_defect(profile))
         assert defect == pytest.approx(
             float(dphi_from_integral(p, 0.5, 0.25)), rel=1e-12)
         assert defect > 0
 
     def test_euler_defect_first_order(self):
         p = ProblemParams(3, 2, 0.0)
-        d1 = epsilon_defect(euler_break_line(p, CONST1, 0.0, 2.0, 1e-2))
-        d2 = epsilon_defect(euler_break_line(p, CONST1, 0.0, 2.0, 5e-3))
+        d1, d2 = (np.max(per_cell_defect(
+            euler_break_line(p, CONST1, 0.0, 2.0, h))) for h in (1e-2, 5e-3))
         assert d1 / d2 == pytest.approx(2.0, rel=0.25)
 
     def test_picard_defect_order_h(self):
         p = ProblemParams(2, 1, 0.0)
         for h in (1e-2, 1e-3):
             prof = picard_solve(p, CONST1, 0.0, 2.0, h, tol=1e-12)
-            assert epsilon_defect(prof) <= h
+            assert np.max(per_cell_defect(prof)) <= h
 
     def test_needs_two_nodes(self):
         p = ProblemParams(2, 1, 0.0)
