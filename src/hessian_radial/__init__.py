@@ -10,12 +10,10 @@ nonexistence, and closed-form Gaussian candidate verifiers.
 from .symmetric import binom, elem_sym, elem_sym_all, in_gamma_k, mu_zero
 from .nonlinearity import Nonlinearity, parse_f_spec
 from .radial import (AdmissibilityError, ProblemParams, SingularityError,
-                     chi, ddphi_at_zero, ddphi_from_ode, dphi_from_integral,
-                     ode_residual, radial_spectrum, sk_radial)
+                     chi, ddphi_at_zero, dphi_from_integral)
 from .solver import (SCHEMA_ID, BlowupReport, NonConvergenceError,
-                     RadialProfile, RefinementDiagnosticError, detect_blowup,
-                     euler_break_line, per_cell_defect, picard_solve,
-                     refinement_order)
+                     RadialProfile, detect_blowup, euler_break_line,
+                     per_cell_defect, picard_solve)
 from .keller_osserman import (CONVERGES, DIVERGES, EXISTS, INCONCLUSIVE,
                               NOT_EXISTS, OUTSIDE_THEORY, ExistenceReport,
                               KOVerdict, existence_verdict,

@@ -88,6 +88,8 @@ def gaussian_threshold_negative_mu(n: int, mu: float) -> float:
     A = 1/(2n) + n mu^2 / 8."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     return 1.0 / (2.0 * n) + n * mu * mu / 8.0
 
 
@@ -148,10 +150,11 @@ def default_radii(p: ProblemParams, A: float, r_max: float) -> np.ndarray:
     """
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"need finite r_max > 0, got r_max={r_max}")
+    GaussianCandidate(A)
     lin = np.linspace(0.0, r_max, 256)
     geo = np.geomspace(r_max * 1e-3, r_max, 257)[:-1]
     pts = np.concatenate((lin, geo))
-    if p.mu < 0 and A > 0:
+    if p.mu < 0:
         r_star = -p.mu * p.n / (4.0 * A)
         if 0 < r_star <= r_max:
             pts = np.append(pts, r_star)

@@ -1,4 +1,4 @@
-"""Source terms f(t) and their k-th powers.
+"""Source terms f(t) and their logarithms.
 
 Built-in families:
 
@@ -7,9 +7,9 @@ Built-in families:
   pow:q      f(t) = t^q for t > 0, 0 for t <= 0   (q >= 0, degenerate cutoff)
 
 plus user callbacks, positive and monotone on the caller's word.  The same
-family spec strings are accepted by the CLI.  Powers f(t)^k are taken in the
-log domain, exp(k * log f(t)), so that large k and fast-growing f only
-overflow where the true value does.
+family spec strings are accepted by the CLI.  The solvers read f through
+log f, and take f(t)^k as exp(k log f(t) + ...), so that large k and
+fast-growing f only overflow where the true value does.
 """
 
 import math
@@ -130,15 +130,6 @@ class Nonlinearity:
             raise ValueError("custom nonlinearity takes negative values "
                              "or nan")
         return vals
-
-    def pow_k(self, t, k: int):
-        """f(t)^k via exp(k * log f(t)); exactly 0 where f vanishes."""
-        if k < 1:
-            raise ValueError(f"power k must be >= 1, got {k}")
-        lg = self.log_eval(t)
-        with np.errstate(over="ignore"):
-            out = np.exp(k * np.asarray(lg, dtype=float))
-        return float(out) if np.ndim(t) == 0 else out
 
 
 def parse_f_spec(spec: str) -> Nonlinearity:

@@ -1,9 +1,9 @@
 """Closed-form radial reduction of S_k(D^2 u + mu |Du| I).
 
 For u(x) = phi(|x|) with phi'(0) = 0 the augmented Hessian is a rank-one
-update of the identity, so its spectrum and S_k value are available in closed
-form.  The induced ODE has a divergence structure, and integrating it once
-turns the radial problem into a Volterra integral equation
+update of the identity, so its spectrum and S_k value have closed forms.
+The induced ODE has a divergence structure, and integrating it once turns
+the radial problem into a Volterra integral equation
 
     phi'(r) = ( r^(k-n) e^(-n mu r) int_0^r (k/C(n-1,k-1))
                e^(n mu s) s^(n-1) (1+mu s)^(1-k) f(phi(s))^k ds )^(1/k)
@@ -13,6 +13,7 @@ G and phi' split into radius and state parts for the pass in solver._pass.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,7 @@ from .symmetric import binom, mu_zero
 
 __all__ = [
     "ProblemParams", "AdmissibilityError", "SingularityError",
-    "radial_spectrum", "sk_radial", "chi", "dphi_from_integral",
-    "ode_residual", "ddphi_at_zero", "ddphi_from_ode",
+    "chi", "dphi_from_integral", "ddphi_at_zero",
 ]
 
 
@@ -46,8 +46,14 @@ class ProblemParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or int(self.k) != self.k:
-            raise ValueError("n and k must be integers")
+        try:
+            # stored as plain ints: operator.index maps True and numpy
+            # integers to int
+            object.__setattr__(self, "n", operator.index(self.n))
+            object.__setattr__(self, "k", operator.index(self.k))
+        except TypeError:
+            raise ValueError(f"n and k must be integers, got n={self.n!r}, "
+                             f"k={self.k!r}") from None
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n={self.n}")
         if not 1 <= self.k <= self.n:
@@ -72,49 +78,12 @@ class ProblemParams:
         return {"n": self.n, "k": self.k, "mu": self.mu}
 
 
-def _radial_pair(p: ProblemParams, r: float, dphi: float, ddphi: float):
-    """(lambda_1, lambda_2) of :func:`radial_spectrum`, with its checks."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if r == 0:
-        if dphi != 0:
-            raise ValueError("a C^2 radial profile forces phi'(0) = 0; "
-                             f"got phi'(0) = {dphi}")
-        return float(ddphi), float(ddphi)
-    return ddphi + p.mu * dphi, (1.0 + p.mu * r) / r * dphi
-
-
-def radial_spectrum(p: ProblemParams, r: float, dphi: float,
-                    ddphi: float) -> np.ndarray:
-    """Eigenvalues of D^2 u + mu |Du| I at radius r for a radial profile.
-
-    For r > 0: (phi'' + mu phi', ((1+mu r)/r) phi' repeated n-1 times).
-    At r = 0 the matrix is isotropic: all n eigenvalues equal phi''(0).
-    """
-    lam1, lam2 = _radial_pair(p, r, dphi, ddphi)
-    out = np.full(p.n, lam2)
-    out[0] = lam1
-    return out
-
-
-def sk_radial(p: ProblemParams, r: float, dphi: float, ddphi: float) -> float:
-    """S_k of the radial spectrum via the two-term closed form, O(1) per
-    point (used by :func:`ode_residual`; elem_sym is the tests' oracle)."""
-    lam1, w = _radial_pair(p, r, dphi, ddphi)
-    if r == 0:
-        # not the two-term form: C(n,k) phi''^k differs from it in the last bit
-        return binom(p.n, p.k) * lam1 ** p.k
-    # math.comb(n-1, k) is 0 for k = n, which is exactly the k = n case here
-    return (binom(p.n - 1, p.k - 1) * lam1 * w ** (p.k - 1)
-            + math.comb(p.n - 1, p.k) * w ** p.k)
-
-
 def chi(p: ProblemParams, r):
     """Integrating factor exponent chi(r) = n mu r + (n-k) ln r at radii
     r > 0, the radius part of the slope phi'(r) = (e^(-chi(r)) I(r))^(1/k)."""
     r_arr = np.asarray(r, dtype=float)
-    if (r_arr <= 0.0).any():
-        raise ValueError(f"chi needs r > 0, got {r}")
+    if not (r_arr > 0.0).all() or (r_arr == math.inf).any():
+        raise ValueError(f"chi needs finite r > 0, got {r}")
     out = p.n * p.mu * r_arr + (p.n - p.k) * np.log(r_arr)
     return float(out) if np.ndim(r) == 0 else out
 
@@ -175,41 +144,17 @@ def dphi_from_integral(p: ProblemParams, r, I):
     """
     chi_r = chi(p, r)
     I_arr = np.asarray(I, dtype=float)
-    if np.any(I_arr < 0.0):
-        raise ValueError("accumulated integral must be >= 0")
+    if not (I_arr >= 0.0).all():
+        raise ValueError(f"accumulated integral must be >= 0, got {I}")
     out = np.empty(np.broadcast(chi_r, I_arr).shape)
     with np.errstate(divide="ignore", over="ignore"):
         _slope_into(p.k, chi_r, I_arr, out)
     return float(out) if (np.ndim(r) == 0 and np.ndim(I) == 0) else out
 
 
-def ode_residual(p: ProblemParams, f, r: float, phi: float, dphi: float,
-                 ddphi: float) -> float:
-    """S_k(radial spectrum) - f(phi)^k; zero for exact solutions."""
-    if r <= 0:
-        raise ValueError(f"ode_residual needs r > 0, got {r}")
-    return sk_radial(p, r, dphi, ddphi) - f.pow_k(phi, p.k)
-
-
 def ddphi_at_zero(p: ProblemParams, f, a: float) -> float:
     """Exact second derivative of the radial solution at the origin:
     f(a) / C(n,k)^(1/k)."""
+    if not math.isfinite(a):
+        raise ValueError(f"initial value a must be finite, got {a}")
     return f.eval(a) / binom(p.n, p.k) ** (1.0 / p.k)
-
-
-def ddphi_from_ode(p: ProblemParams, f, r: float, phi: float,
-                   dphi: float) -> float:
-    """Second derivative recovered by solving S_k = f(phi)^k for phi''.
-
-    Profiles never store phi''; reconstructing it from the closed form avoids
-    differentiating noisy data.  Needs ((1+mu r)/r) phi' != 0 when k >= 2.
-    """
-    if r <= 0:
-        raise ValueError(f"ddphi_from_ode needs r > 0, got {r}")
-    _, w = _radial_pair(p, r, dphi, 0.0)
-    denom = binom(p.n - 1, p.k - 1) * w ** (p.k - 1)
-    if denom == 0.0:
-        raise ZeroDivisionError(
-            "cannot recover phi'' at a node with vanishing phi' for k >= 2")
-    fk = f.pow_k(phi, p.k)
-    return (fk - math.comb(p.n - 1, p.k) * w ** p.k) / denom - p.mu * dphi

@@ -37,8 +37,7 @@ from .radial import (AdmissibilityError, ProblemParams, _G_into,
 
 __all__ = [
     "SCHEMA_ID", "RadialProfile", "BlowupReport", "NonConvergenceError",
-    "RefinementDiagnosticError", "euler_break_line", "picard_solve",
-    "per_cell_defect", "detect_blowup", "refinement_order",
+    "euler_break_line", "picard_solve", "per_cell_defect", "detect_blowup",
 ]
 
 SCHEMA_ID = "hessian-radial/1"
@@ -64,10 +63,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, last_deltas=()):
         super().__init__(message)
         self.last_deltas = tuple(last_deltas)
-
-
-class RefinementDiagnosticError(RuntimeError):
-    """Refinement study produced no usable error decay."""
 
 
 @dataclass(frozen=True)
@@ -537,38 +532,3 @@ def detect_blowup(p: ProblemParams, f: Nonlinearity, a: float, r_max: float,
         return replace(coarse, notes="refinement at h0/2 reached r_max; "
                                      "keeping the coarse bracket")
     return fine
-
-
-def refinement_order(solve, h_sequence, reference=None) -> float:
-    """Empirical convergence order from successive error ratios.
-
-    `solve` maps a step h to a :class:`RadialProfile`, for example
-    ``lambda h: euler_break_line(p, f, a, r_end, h)``.  With a `reference`
-    callable (exact solution of r), errors are maximum node deviations from
-    it; otherwise successive endpoint differences between consecutive grids
-    are used.  Raises :class:`RefinementDiagnosticError` when the error
-    sequence does not decrease strictly (including identical profiles
-    across h).
-    """
-    hs = [float(h) for h in h_sequence]
-    if len(hs) < 3 or any(h1 >= h0 for h0, h1 in zip(hs, hs[1:])):
-        raise ValueError("need >= 3 strictly decreasing steps")
-    profiles = [solve(h) for h in hs]
-    if reference is not None:
-        errors = [float(np.max(np.abs(prof.phi - reference(prof.grid))))
-                  for prof in profiles]
-        pairs = list(zip(hs, errors))
-    else:
-        ends = [float(prof.phi[-1]) for prof in profiles]
-        diffs = [abs(v1 - v0) for v0, v1 in zip(ends, ends[1:])]
-        pairs = list(zip(hs[:-1], diffs))
-    for (h0, e0), (h1, e1) in zip(pairs, pairs[1:]):
-        if e1 <= 0 or e0 <= 0:
-            raise RefinementDiagnosticError(
-                "order undefined: identical solutions across steps")
-        if e1 >= e0:
-            raise RefinementDiagnosticError(
-                f"error sequence not decreasing: {e0} -> {e1}")
-    orders = [np.log(e0 / e1) / np.log(h0 / h1)
-              for (h0, e0), (h1, e1) in zip(pairs, pairs[1:])]
-    return float(np.mean(orders))

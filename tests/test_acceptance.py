@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from hessian_radial import (AdmissibilityError, Nonlinearity, ProblemParams,
-                            binom, ddphi_at_zero, ddphi_from_ode,
-                            detect_blowup, euler_break_line, existence_verdict,
-                            in_gamma_k, ko_classify_analytic,
-                            ko_classify_numeric, mu_zero,
-                            picard_solve, radial_spectrum, refinement_order,
-                            gaussian_threshold, gaussian_threshold_negative_mu,
-                            default_radii, verify_subsolution)
+                            binom, ddphi_at_zero, detect_blowup,
+                            euler_break_line, existence_verdict, in_gamma_k,
+                            ko_classify_analytic, ko_classify_numeric, mu_zero,
+                            picard_solve, gaussian_threshold,
+                            gaussian_threshold_negative_mu, default_radii,
+                            verify_subsolution)
 from hessian_radial.keller_osserman import CONVERGES, DIVERGES, INCONCLUSIVE
 from hessian_radial.solver import ADMISSIBILITY_FAILURE, FINITE_BLOWUP, GLOBAL
+from oracles import convergence_order, ddphi_from_s_k, spectrum
 
 PAIRS = [(2, 1), (3, 2), (4, 4), (5, 3)]
 CONST1 = Nonlinearity.constant(1.0)
@@ -48,7 +48,7 @@ def test_criterion_1_closed_form_cauchy_solution():
             rel = np.abs(prof.phi - want) / scale
             rel[0] = 0.0
             worst_rel = max(worst_rel, float(np.max(rel)))
-            orders.append(refinement_order(
+            orders.append(convergence_order(
                 lambda h: euler_break_line(p, CONST1, a, 10.0, h),
                 [1e-2, 5e-3, 2.5e-3], reference=exact))
     elapsed = time.perf_counter() - t0
@@ -172,10 +172,9 @@ def test_criterion_5_admissibility_invariants():
         p = ProblemParams(n, k, mu)
         prof = euler_break_line(p, f, a, 1.5, 1 / 64)
         for i in range(1, len(prof.grid)):
-            dd = ddphi_from_ode(p, f, float(prof.grid[i]),
+            dd = ddphi_from_s_k(p, f, float(prof.grid[i]),
                                 float(prof.phi[i]), float(prof.dphi[i]))
-            spec = radial_spectrum(p, float(prof.grid[i]),
-                                   float(prof.dphi[i]), dd)
+            spec = spectrum(p, float(prof.grid[i]), float(prof.dphi[i]), dd)
             ok &= in_gamma_k(spec, k)
             checked_nodes += 1
     rejections = True

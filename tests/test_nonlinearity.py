@@ -76,51 +76,6 @@ class TestEval:
                 call()
 
 
-class TestPowK:
-    def test_constant_cube(self):
-        assert Nonlinearity.constant(2.0).pow_k(123.0, 3) == pytest.approx(8.0)
-
-    def test_exponential_square(self):
-        got = Nonlinearity.exponential(1.0).pow_k(2.0, 2)
-        assert got == pytest.approx(math.exp(4.0), rel=1e-13)
-
-    def test_power_half_square(self):
-        assert Nonlinearity.power_cutoff(0.5).pow_k(4.0, 2) == \
-            pytest.approx(4.0, rel=1e-13)
-
-    def test_zero_source_gives_zero(self):
-        assert Nonlinearity.power_cutoff(2.0).pow_k(-3.0, 5) == 0.0
-
-    def test_overflow_is_graceful_and_sharp(self):
-        # the log-domain power overflows exactly where the true value does,
-        # returning inf instead of raising
-        f = Nonlinearity.exponential(1.0)
-        assert f.pow_k(200.0, 3) == pytest.approx(math.exp(600.0), rel=1e-12)
-        assert f.pow_k(300.0, 3) == math.inf
-
-    @given(ts, st.integers(1, 6), st.sampled_from(["const", "exp", "pow"]),
-           st.floats(min_value=0.1, max_value=3, allow_nan=False))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_naive_product(self, t, k, family, param):
-        f = {"const": Nonlinearity.constant,
-             "exp": Nonlinearity.exponential,
-             "pow": Nonlinearity.power_cutoff}[family](param)
-        base = f.eval(t)
-        try:
-            naive = base ** k
-        except OverflowError:
-            # the reference overflows, so f(t)^k is past the float range
-            assert f.pow_k(t, k) >= sys.float_info.max * (1 - 1e-12)
-            return
-        if naive == 0.0 or not math.isfinite(naive):
-            return
-        assert f.pow_k(t, k) == pytest.approx(naive, rel=1e-12)
-
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            Nonlinearity.constant(1.0).pow_k(0.0, 0)
-
-
 def masked_pow_log(q, t):
     """log of t^q on t > 0 and -inf elsewhere, through a mask: the general
     form of Nonlinearity.log_eval's pow branch."""

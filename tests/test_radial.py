@@ -1,4 +1,5 @@
-"""Radial reduction: spectrum, S_k closed form, integrand, ODE residual."""
+"""Radial reduction: the integrand, the slope, the cell quadrature, and
+the spectrum, S_k and phi'' oracles on closed-form profiles."""
 
 import math
 import struct
@@ -11,14 +12,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hessian_radial import (Nonlinearity, ProblemParams, SingularityError,
-                            binom, chi, ddphi_at_zero, ddphi_from_ode,
-                            dphi_from_integral, elem_sym, ode_residual,
-                            radial_spectrum, sk_radial)
+                            binom, chi, ddphi_at_zero, dphi_from_integral)
 from hessian_radial.radial import _smooth_factor
 from hessian_radial.solver import (FINITE_BLOWUP, _cell_increment,
                                    _cell_increments, _cell_weights, _cells,
                                    _forward_pass, detect_blowup,
                                    euler_break_line)
+from oracles import ddphi_from_s_k, s_k, spectrum
 
 CONST1 = Nonlinearity.constant(1.0)
 
@@ -73,20 +73,16 @@ class TestProblemParams:
 
 class TestRadialSpectrum:
     def test_origin_branch_isotropic(self):
-        spec = radial_spectrum(ProblemParams(3, 2, 0.0), 0.0, 0.0, 2.0)
+        spec = spectrum(ProblemParams(3, 2, 0.0), 0.0, 0.0, 2.0)
         assert spec.tolist() == [2.0, 2.0, 2.0]
 
     def test_positive_radius(self):
-        spec = radial_spectrum(ProblemParams(2, 1, 0.5), 2.0, 1.0, 0.0)
+        spec = spectrum(ProblemParams(2, 1, 0.5), 2.0, 1.0, 0.0)
         assert spec.tolist() == pytest.approx([0.5, 1.0])
 
     def test_negative_mu(self):
-        spec = radial_spectrum(ProblemParams(3, 1, -1.0), 2.0, 1.0, 3.0)
+        spec = spectrum(ProblemParams(3, 1, -1.0), 2.0, 1.0, 3.0)
         assert spec.tolist() == pytest.approx([2.0, -0.5, -0.5])
-
-    def test_origin_requires_zero_slope(self):
-        with pytest.raises(ValueError):
-            radial_spectrum(ProblemParams(2, 1, 0.0), 0.0, 0.1, 1.0)
 
 
 class TestSkRadial:
@@ -95,8 +91,7 @@ class TestSkRadial:
         # phi = r^2/2 has spectrum (1,...,1) at mu=0, so S_k = C(n,k)
         p = ProblemParams(n, k, 0.0)
         for r in (0.5, 1.0, 3.0):
-            assert sk_radial(p, r, r, 1.0) == pytest.approx(binom(n, k),
-                                                            rel=1e-13)
+            assert s_k(p, r, r, 1.0) == pytest.approx(binom(n, k), rel=1e-13)
 
     @pytest.mark.parametrize("n,k,mu", [(3, 2, 0.4), (4, 3, 0.2), (2, 1, 1.0)])
     def test_quadratic_profile_with_mu(self, n, k, mu):
@@ -104,91 +99,15 @@ class TestSkRadial:
         p = ProblemParams(n, k, mu)
         for r in (0.5, 2.0):
             want = binom(n, k) * (1 + mu * r) ** k
-            assert sk_radial(p, r, r, 1.0) == pytest.approx(want, rel=1e-13)
+            assert s_k(p, r, r, 1.0) == pytest.approx(want, rel=1e-13)
 
     def test_two_term_display(self):
         p = ProblemParams(3, 2, 0.0)
-        assert sk_radial(p, 1.0, 1.0, 0.0) == pytest.approx(1.0)
+        assert s_k(p, 1.0, 1.0, 0.0) == pytest.approx(1.0)
 
     def test_origin_branch(self):
         p = ProblemParams(4, 3, 0.7)
-        assert sk_radial(p, 0.0, 0.0, 2.0) == pytest.approx(binom(4, 3) * 8.0)
-
-    @given(st.integers(2, 6), st.data(),
-           st.floats(min_value=-2, max_value=2, allow_nan=False),
-           st.floats(min_value=1e-3, max_value=10, allow_nan=False),
-           st.floats(min_value=-10, max_value=10, allow_nan=False),
-           st.floats(min_value=-10, max_value=10, allow_nan=False))
-    @settings(max_examples=400, deadline=None)
-    def test_matches_elem_sym_of_spectrum(self, n, data, mu, r, dphi, ddphi):
-        k = data.draw(st.integers(1, n))
-        p = ProblemParams(n, k, mu)
-        closed = sk_radial(p, r, dphi, ddphi)
-        generic = elem_sym(radial_spectrum(p, r, dphi, ddphi), k)
-        scale = max(1.0, abs(closed), abs(generic))
-        assert abs(closed - generic) / scale < 1e-10
-
-
-def reference_spectrum(p, r, dphi, ddphi):
-    """radial_spectrum as two separate formulas, each with its own checks."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if r == 0:
-        if dphi != 0:
-            raise ValueError("a C^2 radial profile forces phi'(0) = 0; "
-                             f"got phi'(0) = {dphi}")
-        return np.full(p.n, float(ddphi))
-    out = np.full(p.n, (1.0 + p.mu * r) / r * dphi)
-    out[0] = ddphi + p.mu * dphi
-    return out
-
-
-def reference_sk(p, r, dphi, ddphi):
-    """sk_radial with its own copy of the checks and of lambda_2."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if r == 0:
-        if dphi != 0:
-            raise ValueError("a C^2 radial profile forces phi'(0) = 0; "
-                             f"got phi'(0) = {dphi}")
-        return binom(p.n, p.k) * float(ddphi) ** p.k
-    w = (1.0 + p.mu * r) / r * dphi
-    return (binom(p.n - 1, p.k - 1) * (ddphi + p.mu * dphi) * w ** (p.k - 1)
-            + math.comb(p.n - 1, p.k) * w ** p.k)
-
-
-def outcome(fn, *args):
-    """The bits of fn's float results, or the type and message it raised."""
-    try:
-        out = np.atleast_1d(fn(*args))
-    except (ValueError, OverflowError) as exc:
-        return type(exc), str(exc)
-    return [struct.pack("<d", v) for v in out.tolist()]
-
-
-class TestRadialPair:
-    """radial_spectrum and sk_radial share one eigenvalue pair and one set
-    of checks; the results and error messages are those of the separate
-    formulas, bit for bit."""
-
-    @given(st.integers(2, 6), st.integers(1, 6),
-           st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.5, -2.0]),
-           st.just(0.0) | st.floats(-1e3, 1e3) | st.floats(
-               allow_nan=False),
-           st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False),
-           st.floats(allow_nan=False))
-    @example(3, 2, -1.0, 0.0, 0.0, 2.5)        # origin
-    @example(3, 2, -1.0, 0.0, 1e-3, 2.5)       # origin with a slope
-    @example(3, 2, -1.0, -1.0, 0.0, 2.5)       # negative radius
-    @example(4, 3, -0.5, 2.0, 1.5, -1.0)       # 1 + mu r = 0
-    @example(2, 2, 0.3, 1e-300, 1e300, 1e300)  # the powers overflow
-    @settings(max_examples=400, deadline=None)
-    def test_bit_equal_to_separate_formulas(self, n, k, mu, r, dphi, ddphi):
-        p = ProblemParams(n, min(k, n), mu)
-        args = (p, r, dphi, ddphi)
-        assert outcome(radial_spectrum, *args) == outcome(reference_spectrum,
-                                                          *args)
-        assert outcome(sk_radial, *args) == outcome(reference_sk, *args)
+        assert s_k(p, 0.0, 0.0, 2.0) == pytest.approx(binom(4, 3) * 8.0)
 
 
 class TestChi:
@@ -492,7 +411,7 @@ class TestOdeResidual:
         p = ProblemParams(n, k, 0.0)
         phi, dphi, ddphi = quadratic_profile(p, a)
         for r in (0.25, 1.0, 2.0, 7.0):
-            res = ode_residual(p, CONST1, r, phi(r), dphi(r), ddphi(r))
+            res = s_k(p, r, dphi(r), ddphi(r)) - CONST1.eval(phi(r)) ** k
             assert abs(res) < 1e-12
 
     def test_symbolic_substitution_oracle(self):
@@ -511,12 +430,8 @@ class TestOdeResidual:
 
     def test_zero_profile_misses_unit_source(self):
         p = ProblemParams(4, 2, 0.7)
-        assert ode_residual(p, CONST1, 1.0, 0.0, 0.0, 0.0) == pytest.approx(-1.0)
-
-    @pytest.mark.parametrize("r", [0.0, -1.0])
-    def test_needs_positive_radius(self, r):
-        with pytest.raises(ValueError, match="needs r > 0"):
-            ode_residual(ProblemParams(3, 2, 0.0), CONST1, r, 0.0, 1.0, 1.0)
+        assert s_k(p, 1.0, 0.0, 0.0) - CONST1.eval(0.0) ** 2 == \
+            pytest.approx(-1.0)
 
 
 class TestDdphiAtZero:
@@ -537,18 +452,13 @@ class TestDdphiFromOde:
         p = ProblemParams(n, k, mu)
         phi, dphi, ddphi = quadratic_profile(p, 0.5)
         for r in (0.5, 1.0, 4.0):
-            got = ddphi_from_ode(p, CONST1, r, phi(r), dphi(r))
+            got = ddphi_from_s_k(p, CONST1, r, phi(r), dphi(r))
             assert got == pytest.approx(ddphi(r), rel=1e-11)
 
     def test_degenerate_slope_rejected_for_k2(self):
         p = ProblemParams(3, 2, 0.0)
         with pytest.raises(ZeroDivisionError):
-            ddphi_from_ode(p, CONST1, 1.0, 0.0, 0.0)
-
-    @pytest.mark.parametrize("r", [0.0, -1.0])
-    def test_needs_positive_radius(self, r):
-        with pytest.raises(ValueError, match="needs r > 0"):
-            ddphi_from_ode(ProblemParams(3, 2, 0.0), CONST1, r, 0.0, 1.0)
+            ddphi_from_s_k(p, CONST1, 1.0, 0.0, 0.0)
 
 
 class TestDivergenceForm:
@@ -566,5 +476,5 @@ class TestDivergenceForm:
         for r in (0.5, 1.0, 2.0):
             lhs = (H(r + d) - H(r - d)) / (2 * d)
             rhs = (k / binom(n - 1, k - 1) * math.exp(chi(p, r))
-                   * r ** (k - 1) * CONST1.pow_k(phi(r), k))
+                   * r ** (k - 1) * CONST1.eval(phi(r)) ** k)
             assert lhs == pytest.approx(rhs, rel=1e-7)

@@ -10,12 +10,14 @@ import io
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessian_radial import (GaussianCandidate, Nonlinearity, ProblemParams,
-                            default_radii, detect_blowup, euler_break_line,
+                            chi, ddphi_at_zero, default_radii, detect_blowup,
+                            dphi_from_integral, euler_break_line,
                             gaussian_spectrum, gaussian_threshold_negative_mu,
                             ko_classify_analytic, ko_classify_numeric, mu_zero,
                             parse_f_spec, picard_solve, verify_subsolution)
@@ -26,6 +28,10 @@ NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
 BAD_SIZE = st.floats(max_value=0.0) | NON_FINITE
 K_BELOW_ONE = st.integers(-5, 0)
 N_BELOW_TWO = st.integers(-5, 1)
+# an accumulated integral must be >= 0 (+inf included)
+BAD_INTEGRAL = st.floats(max_value=0.0, exclude_max=True) | st.just(math.nan)
+# n and k must be integers: no float passes, not even a whole one
+NOT_INTEGER = st.sampled_from([2.0, 3.0, 2.5]) | NON_FINITE
 
 P = ProblemParams(2, 1, 0.0)
 CONST = Nonlinearity.constant(1.0)
@@ -36,14 +42,23 @@ def rejected(call, *args, **kwargs):
         call(*args, **kwargs)
 
 
-@given(n=N_BELOW_TWO, k=K_BELOW_ONE, mu=NON_FINITE)
+@given(n=N_BELOW_TWO, k=K_BELOW_ONE, mu=NON_FINITE, dim=NOT_INTEGER)
 @settings(max_examples=20)
-def test_problem_params(n, k, mu):
+def test_problem_params(n, k, mu, dim):
     rejected(ProblemParams, n, 1, 0.0)
     rejected(ProblemParams, 3, k, 0.0)
     rejected(ProblemParams, 3, 4 - k, 0.0)   # k > n
     rejected(ProblemParams, 3, 1, mu)
+    rejected(ProblemParams, dim, 1, 0.0)
+    rejected(ProblemParams, 3, dim, 0.0)
     rejected(mu_zero, 3, k)
+
+
+def test_problem_params_store_plain_ints():
+    p = ProblemParams(np.int64(3), True)
+    assert (type(p.n), type(p.k)) == (int, int)
+    assert p.to_dict() == {"n": 3, "k": 1, "mu": 0.0}
+    assert type(p.to_dict()["k"]) is int
 
 
 @given(value=NON_FINITE, k=K_BELOW_ONE,
@@ -53,7 +68,6 @@ def test_sources_and_growth_integral(value, k, family):
     rejected(parse_f_spec, f"{family}:{value!r}")
     rejected({"const": Nonlinearity.constant, "exp": Nonlinearity.exponential,
               "pow": Nonlinearity.power_cutoff}[family], value)
-    rejected(CONST.pow_k, 1.0, k)
     rejected(ko_classify_analytic, CONST, k)
     rejected(ko_classify_numeric, CONST, k)
 
@@ -68,13 +82,21 @@ def test_gaussian_candidates(A, alpha, r_max, r, n):
     rejected(verify_subsolution, P, A, 1.0, [0.0, 1.0])
     rejected(verify_subsolution, P, 1.0, alpha, [0.0, 1.0])
     rejected(default_radii, P, 1.0, r_max)
+    rejected(default_radii, P, A, 1.0)
     rejected(gaussian_threshold_negative_mu, n, -1.0)
+    rejected(gaussian_threshold_negative_mu, 2, alpha)
 
 
 @given(a=NON_FINITE, size=BAD_SIZE, max_iter=st.integers(-5, 0),
-       below=st.floats(min_value=0.0) | st.just(math.nan))
+       below=st.floats(min_value=0.0) | st.just(math.nan),
+       integral=BAD_INTEGRAL)
 @settings(max_examples=20)
-def test_walks_and_solves(a, size, max_iter, below):
+def test_walks_and_solves(a, size, max_iter, below, integral):
+    rejected(ddphi_at_zero, P, CONST, a)
+    rejected(chi, P, a)
+    rejected(chi, P, size)
+    rejected(dphi_from_integral, P, a, 1.0)
+    rejected(dphi_from_integral, P, 1.0, integral)
     for solve in (euler_break_line, picard_solve):
         rejected(solve, P, CONST, a, 1.0, 0.1)
         rejected(solve, P, CONST, 0.0, size, 0.1)

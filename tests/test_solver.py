@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hessian_radial import (AdmissibilityError, Nonlinearity,
-                            NonConvergenceError, ProblemParams,
-                            RefinementDiagnosticError, binom, ddphi_at_zero,
-                            detect_blowup, dphi_from_integral,
+                            NonConvergenceError, ProblemParams, binom,
+                            ddphi_at_zero, detect_blowup, dphi_from_integral,
                             euler_break_line, per_cell_defect, picard_solve,
-                            refinement_order, solver)
+                            solver)
 from hessian_radial.solver import (_CSV_BLOCK_ROWS, FINITE_BLOWUP, GLOBAL,
                                    ADMISSIBILITY_FAILURE, BlowupReport,
                                    RadialProfile, _require_walk_sizes)
+from oracles import convergence_order
 
 CONST1 = Nonlinearity.constant(1.0)
 EXP1 = Nonlinearity.exponential(1.0)
@@ -456,7 +456,7 @@ class TestDetectBlowup:
 class TestRefinementOrder:
     def test_euler_first_order(self):
         p = ProblemParams(3, 2, 0.0)
-        order = refinement_order(
+        order = convergence_order(
             lambda h: euler_break_line(p, CONST1, 1.0, 2.0, h),
             [1e-2, 5e-3, 2.5e-3], reference=closed_form(p, 1.0))
         assert order == pytest.approx(1.0, abs=0.2)
@@ -464,35 +464,9 @@ class TestRefinementOrder:
     def test_picard_second_order(self):
         # trapezoid integration of the slope is the dominant error at mu > 0
         p = ProblemParams(2, 1, 0.5)
-        order = refinement_order(lambda h: picard_solve(p, EXP1, 0.0, 1.0, h),
-                                 [4e-2, 2e-2, 1e-2])
+        order = convergence_order(
+            lambda h: picard_solve(p, EXP1, 0.0, 1.0, h), [4e-2, 2e-2, 1e-2])
         assert order == pytest.approx(2.0, abs=0.3)
-
-    def test_identical_profiles_diagnostic(self):
-        # pow cutoff from a=0 keeps phi identically 0 at every step size
-        p = ProblemParams(2, 1, 0.0)
-        with pytest.raises(RefinementDiagnosticError):
-            refinement_order(
-                lambda h: euler_break_line(p, Nonlinearity.power_cutoff(1.0),
-                                           0.0, 1.0, h),
-                [1e-1, 5e-2, 2.5e-2])
-
-    def test_error_sequence_that_does_not_decrease(self):
-        # first-order endpoint differences follow the gaps of the steps:
-        # about c * 1e-3, then c * 8e-3
-        p = ProblemParams(3, 2, 0.0)
-        with pytest.raises(RefinementDiagnosticError,
-                           match="not decreasing"):
-            refinement_order(
-                lambda h: euler_break_line(p, CONST1, 1.0, 2.0, h),
-                [1e-2, 9e-3, 1e-3])
-
-    def test_needs_three_decreasing_steps(self):
-        p = ProblemParams(2, 1, 0.0)
-        with pytest.raises(ValueError):
-            refinement_order(
-                lambda h: euler_break_line(p, CONST1, 0.0, 1.0, h),
-                [1e-2, 1e-2, 5e-3])
 
 
 class TestProfileSerialization:
