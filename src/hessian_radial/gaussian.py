@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial import ProblemParams
-from .symmetric import _elem_sym, binom
+from .symmetric import _elem_sym, _integers, binom
 
 __all__ = [
     "GaussianCandidate", "RadiusCheck", "SubsolutionReport",
@@ -80,12 +80,16 @@ def gaussian_threshold(n: int, k: int) -> float:
     """Smallest A for which the Gaussian is a subsolution of
     S_k^(1/k)(.) = u^alpha for every mu >= 0 and alpha <= 1:
     A = (1/2) C(n,k)^(-1/k).  Sharp at the origin."""
+    n, k = _integers(n=n, k=k)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     return 0.5 * binom(n, k) ** (-1.0 / k)
 
 
 def gaussian_threshold_negative_mu(n: int, mu: float) -> float:
     """Variant for k = 1 with mu < 0 (formula valid for any mu):
     A = 1/(2n) + n mu^2 / 8."""
+    n, = _integers(n=n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not math.isfinite(mu):

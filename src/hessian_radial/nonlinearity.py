@@ -14,6 +14,7 @@ fast-growing f only overflow where the true value does.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,13 +29,13 @@ class Nonlinearity:
     """A positive source term t -> f(t).
 
     Custom callbacks must be reentrant and pure: the break-line walk evaluates
-    f at a node once per sweep of its window, several times in all, and needs
-    the same value each time; an impure callback is not detected, and the walk
-    returns columns that no single f gives.  They must return a float >= 0,
-    or +inf, at every finite argument (a negative or nan value raises
-    ValueError in :meth:`eval` and :meth:`log_eval`): the walk also
-    evaluates f at the iterates of a window's unsettled part, finite values
-    that can lie far beyond any phi the walk keeps.
+    f at a node once per sweep that reaches it, several times in all, and
+    needs the same value each time; an impure callback is not detected, and
+    the walk returns columns that no single f gives.  They must return a
+    float >= 0, or +inf, at every finite argument (a negative or nan value
+    raises ValueError in :meth:`eval` and :meth:`log_eval`): the walk also
+    evaluates f at the iterates of the nodes past its settled front, finite
+    values that can lie far beyond any phi the walk keeps.
     """
 
     family: str
@@ -106,22 +107,33 @@ class Nonlinearity:
         """log f(t); -inf where f(t) = 0.  Raises if f(t) < 0 or is nan."""
         scalar = np.ndim(t) == 0
         tt = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.family == "const":
-            out = np.full_like(tt, np.log(self.param))
-        elif self.family == "exp":
-            out = self.param * tt
-        elif self.family == "pow" and (tt > 0).all():
-            out = self.param * np.log(tt)
-        elif self.family == "pow":
-            out = np.full_like(tt, -np.inf)
-            mask = tt > 0
-            out[mask] = self.param * np.log(tt[mask])
-        else:
-            vals = self._custom_values(tt)
-            out = np.full_like(vals, -np.inf)
-            mask = vals > 0
-            out[mask] = np.log(vals[mask])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self._log_kernel(tt)
         return float(out[0]) if scalar else out.reshape(np.shape(t))
+
+    @cached_property
+    def _log_kernel(self):
+        """log f on a float64 ndarray, with none of :meth:`log_eval`'s
+        argument handling: the form the walk and Picard call, built once
+        per source.  The caller holds np.errstate, since the pow and custom
+        forms take the log of 0 and of negative values."""
+        q = self.param
+        if self.family == "const":
+            log_c = np.log(q)
+            return lambda t: np.full(t.shape, log_c)
+        if self.family == "exp":
+            return lambda t: q * t
+        if self.family == "pow":
+            def log_pow(t):
+                out = q * np.log(t)
+                # argmin finds the least t or the first nan, and f is 0 at
+                # t <= 0 and at nan
+                if len(t) and not t[t.argmin()] > 0:
+                    out[~(t > 0)] = -np.inf
+                return out
+            return log_pow
+        # log 0 is -inf, where f is 0
+        return lambda t: np.log(self._custom_values(t))
 
     def _custom_values(self, tt):
         """The callback's values on `tt`, checked to be >= 0 or +inf."""

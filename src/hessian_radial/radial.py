@@ -13,12 +13,11 @@ G and phi' split into radius and state parts for the pass in solver._pass.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .symmetric import binom, mu_zero
+from .symmetric import _integers, binom, mu_zero
 
 __all__ = [
     "ProblemParams", "AdmissibilityError", "SingularityError",
@@ -46,14 +45,9 @@ class ProblemParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        try:
-            # stored as plain ints: operator.index maps True and numpy
-            # integers to int
-            object.__setattr__(self, "n", operator.index(self.n))
-            object.__setattr__(self, "k", operator.index(self.k))
-        except TypeError:
-            raise ValueError(f"n and k must be integers, got n={self.n!r}, "
-                             f"k={self.k!r}") from None
+        n, k = _integers(n=self.n, k=self.k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n={self.n}")
         if not 1 <= self.k <= self.n:

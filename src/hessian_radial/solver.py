@@ -10,11 +10,13 @@ Two routes to the same fixed point:
 
 One walker, :func:`_walk`, carries the break line, on fixed nodes for
 :func:`euler_break_line` and with an adaptive step for :func:`detect_blowup`,
-a window of nodes at a time: it sweeps the window's lower-triangular
-recurrence on arrays until the log f(phi) a sweep reads is bitwise
-unchanged, which is the step-by-step walk bit for bit (waveform relaxation:
-Lelarasmee, Ruehli & Sangiovanni-Vincentelli, 1982).  A sweep and a Picard
-iteration run one pass, :func:`_pass`, so each formula is written once.
+as a front (:func:`_front`) on one buffer of nodes: each sweep runs the
+lower-triangular recurrence on arrays from the settled front to a lookahead
+past it, and the front moves to the first node whose log f(phi) the sweep
+changed, so the nodes behind it hold the step-by-step walk bit for bit
+(waveform relaxation: Lelarasmee, Ruehli & Sangiovanni-Vincentelli, 1982).
+A sweep and a Picard iteration run one pass, :func:`_pass`, so each formula
+is written once.
 
 The Volterra accumulation uses a product-trapezoid rule: the integrand is
 split as s^(n-1) * G(s) with G smooth down to s = 0, G is interpolated
@@ -51,9 +53,10 @@ ADMISSIBILITY_FAILURE = "admissibility_failure"
 _CSV_BLOCK_ROWS = 1024
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
-# walk window lengths (a sweep's fixed cost is that of ~700 nodes) and the
-# largest lam * (span in r) of a window, lam the growth rate of dphi
-_WINDOW_MIN, _WINDOW_MAX = 32, 2048
+# the walk's lookahead past its settled front, in nodes (a sweep's fixed
+# cost is that of ~1500 nodes), and its largest lam * (span in r), lam the
+# growth rate of dphi
+_LOOKAHEAD_MIN, _LOOKAHEAD_MAX = 32, 2048
 _GROWTH_SPAN = 3.0
 
 
@@ -179,12 +182,14 @@ def _cell_weights(s0, s1, n: int):
     """Weights (A, B) of the cell [s0, s1], h = s1 - s0: the integrals of
     s^(n-1) (s1 - s) / h and s^(n-1) (s - s0) / h, as h / (n (n+1)) times
     sum_{i<n} (n-i, i+1) s0^(n-1-i) s1^i in one Horner loop in s0.  Terms
-    >= 0 and only + and *: no cancellation, floats and arrays bit-equal."""
-    A, B, t = 0, 0, 1
-    for i in range(n):
+    >= 0 and only + and *: no cancellation, floats and arrays bit-equal.
+    The loop starts past its first step, whose A = n and B = 1 are exact at
+    finite s0."""
+    A, B, t = n, 1, 1
+    for i in range(1, n):
+        t = t * s1
         A = A * s0 + (n - i) * t
         B = B * s0 + (i + 1) * t
-        t = t * s1
     c = (s1 - s0) / (n * (n + 1))
     return c * A, c * B
 
@@ -203,30 +208,33 @@ def _cell_increments(grid: np.ndarray, G: np.ndarray, n: int) -> np.ndarray:
 
 
 def _cells(p: ProblemParams, s: np.ndarray):
-    """:func:`_pass`'s radius parts: the cell weights, the log G terms at
-    every node, chi past the origin."""
+    """The radius parts of the nodes s: per cell its width, its weights
+    and chi at its right end, then the log G terms at every node."""
     s0, s1 = s[:-1], s[1:]
-    return (*_cell_weights(s0, s1, p.n), _log_G_terms(p, s), chi(p, s1))
+    return (s1 - s0, *_cell_weights(s0, s1, p.n), chi(p, s1),
+            *_log_G_terms(p, s))
 
 
-def _pass(k: int, cells, logf: np.ndarray, I: np.ndarray, dphi: np.ndarray,
-          lo: int) -> None:
-    """The recurrence past node lo, in place: G from log f at the
-    len(logf) nodes from lo and +inf past them (where phi is +inf), I from
-    I[lo] by running sum of A G(s0) + B G(s1), phi' (+inf where I is not
-    finite)."""
-    wA, wB, terms, chi_r = cells
-    I1, D1 = I[lo + 1:], dphi[lo + 1:]
-    fin = len(logf)
-    G = np.empty(len(I) - lo)
-    _G_into(k, logf, [t[lo:lo + fin] for t in terms], G[:fin])
-    G[fin:] = math.inf
-    np.multiply(wB[lo:], G[1:], out=I1)
+def _pass(k: int, cells, c: int, logf: np.ndarray, I: np.ndarray,
+          dphi: np.ndarray) -> None:
+    """The recurrence on the nodes of I and dphi past the first, in place,
+    on the radius parts `cells` from their index c: G from log f at the
+    len(logf) nodes from the first and +inf past them (where phi is +inf),
+    I from I[0] by running sum of A G(s0) + B G(s1), phi' (+inf where I is
+    not finite)."""
+    _, wA, wB, chi_r, *terms = cells
+    m, fin = len(I) - 1, len(logf)
+    I1, D1 = I[1:], dphi[1:]
+    G = np.empty(m + 1)
+    _G_into(k, logf, [t[c:c + fin] for t in terms], G[:fin])
+    if fin <= m:
+        G[fin:] = math.inf
+    np.multiply(wB[c:c + m], G[1:], out=I1)
     # A G(s0) goes through the slope's buffer, which the slope overwrites
-    np.multiply(wA[lo:], G[:-1], out=D1)
+    np.multiply(wA[c:c + m], G[:-1], out=D1)
     I1 += D1
-    np.add.accumulate(I[lo:], out=I[lo:])
-    _slope_into(k, chi_r[lo:], I1, D1)
+    np.add.accumulate(I, out=I)
+    _slope_into(k, chi_r[c:c + m], I1, D1)
     if not I[-1] < math.inf:
         D1[~(I1 < math.inf)] = math.inf
 
@@ -240,7 +248,7 @@ def _forward_pass(p: ProblemParams, f: Nonlinearity, grid: np.ndarray,
     callers' finiteness checks."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         I, dphi = np.zeros(len(grid)), np.zeros(len(grid))
-        _pass(p.k, cells, f.log_eval(phi), I, dphi, 0)
+        _pass(p.k, cells, 0, f._log_kernel(phi), I, dphi)
     return I, dphi
 
 
@@ -289,13 +297,11 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     spacing.  Returns the columns (r, phi, dphi, I) as rows and the blow-up
     bracket, None at r_end.
 
-    The nodes go in windows settled by :func:`_settle_window`, each kept
-    whole up to its first stop: slices of `nodes`, or r, r + h, ... summed
-    as r + step up to a clamped last step or one that r + step rounds
-    away.  A window has _GROWTH_SPAN / (lam h) nodes, h before the window's
-    own halvings, clamped to [_WINDOW_MIN, _WINDOW_MAX]: the most at
-    lam = 0, as at the origin.  lam, the growth rate of dphi over the last
-    cell kept, also seeds each window's first guess.
+    The columns are one buffer that :func:`_front` sweeps.  On `nodes` it
+    is one run.  The adaptive walk is a run per step size: r, r + step, ...
+    summed as r + step, formed as the front needs them, up to the node
+    where the step halves, a clamped last step or one that r + step rounds
+    away; its lookahead takes h before the run's own halvings.
     """
     # dphi * step passes the halving test iff it is finite and <= the cap;
     # on fixed nodes (step 1) the walk stops where dphi is not finite
@@ -303,16 +309,23 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     if nodes is None:
         step_cap = min(max(1.0, 0.01 * phi_cap), step_cap)
     h_min, tail = h * 2.0 ** -40, 1e-12 * r_end
-    r, phi, dphi, I = 0.0, float(a), 0.0, 0.0
-    columns = [np.array([[r], [phi], [dphi], [I]])]
-    bracket, j, lam = None, 0, 0.0
+    log_f, bracket, j, h_entry = f._log_kernel, None, 0, h
     # sizes given as numpy scalars make the arithmetic numpy's, and overflow
     # is deliberate here: a column running to +inf signals blow-up
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while r_end - r > tail:
-            size = (_WINDOW_MAX if lam * h * _WINDOW_MAX <= _GROWTH_SPAN
-                    else max(int(_GROWTH_SPAN / (lam * h)), _WINDOW_MIN))
+        if nodes is None:
+            rows = np.empty((4, min(int(r_end / h) + 2, 2 ** 16)))
+        else:
+            # the grid ends at r_end, its spacing far above tail
+            rows = np.empty((4, len(nodes)))
+            rows[0] = nodes
+        rows[:, 0] = 0.0, float(a), 0.0, 0.0
+        more = None
+        while True:
             if nodes is None:
+                r, dphi = rows[0::2, j].tolist()
+                if not r_end - r > tail:
+                    break
                 h_entry = h
                 step = min(h, r_end - r)
                 while not dphi * step <= step_cap and h >= h_min:
@@ -324,89 +337,140 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                     bracket = (r, max(float(r + h_entry),
                                       math.nextafter(r, math.inf)))
                     break
-                s = np.concatenate(([r], np.full(size, step)))
-                np.add.accumulate(s, out=s)
-                left = r_end - s[:-1]
-                # steps of this size that move r: a clamped last step, or
-                # one that r + step rounds away, starts a new window
-                steps = ((np.minimum(h, left) == step) & (left > tail)
-                         & (s[1:] > s[:-1]))
-                m = len(steps) if steps.all() else int(np.argmin(steps))
-                s = s[:m + 1]
-            else:
-                # the grid ends at r_end, its spacing far above tail
-                s = nodes[j:j + size + 1]
-            _, rows = _settle_window(p, f, s, I, dphi, phi, phi_cap, step,
-                                     step_cap, lam)
-            columns.append(rows[:, 1:])
-            r, phi, dphi, I = rows[:, -1].tolist()
-            if phi > phi_cap:
-                bracket = tuple(rows[0, -2:].tolist())
+
+                def more(r0, count, h=h, step=step):
+                    """Up to `count` nodes past r0 by steps of this size
+                    that move r: fewer where the step would be clamped or
+                    rounded away."""
+                    count = min(count, int((r_end - r0) / step) + 2)
+                    s = np.concatenate(([r0], np.full(count, step)))
+                    np.add.accumulate(s, out=s)
+                    left = r_end - s[:-1]
+                    steps = ((np.minimum(h, left) == step) & (left > tail)
+                             & (s[1:] > s[:-1]))
+                    return s[1:] if steps.all() \
+                        else s[1:int(np.argmin(steps)) + 1]
+            *_, rows, j = _front(p, log_f, rows, j, more, h_entry, step,
+                                 step_cap, phi_cap)
+            if rows[1, j] > phi_cap:
+                bracket = tuple(rows[0, j - 1:j + 1].tolist())
                 break
-            if nodes is not None and not dphi < math.inf:
+            if nodes is not None:
                 break
-            # growth over the last cell: in (0, inf], or 0 where dphi does
-            # not grow
-            r0, d0 = rows[0, -2], rows[2, -2]
-            lam = np.log(dphi / d0) / (r - r0) if 0 < d0 < dphi < math.inf \
-                else 0.0
-            j += rows.shape[1] - 1
-    return np.concatenate(columns, axis=1), bracket
+    return rows[:, :j + 1], bracket
 
 
-def _settle_window(p: ProblemParams, f: Nonlinearity, s: np.ndarray,
-                   I: float, dphi: float, phi: float,
-                   phi_cap: float, step: float, step_cap: float,
-                   lam: float):
-    """The break line on the nodes s[0] < ... < s[m] from the state at s[0],
-    swept to a bitwise fixed point.  A sweep is phi by running sum with the
-    slope frozen at the left node, rewritten in place, and then Picard's
-    :func:`_pass` over the unsettled nodes.  It reads phi only through
-    log f, or as the +inf tail where f is not evaluated, and node j+1
-    depends only on that input at nodes <= j; so the nodes before the first
-    whose input the next sweep would change hold the one-step walk's values
-    bit for bit, one more at least each sweep.  The first guess has the
-    slope dphi e^(lam (s - s[0])).  Returns the sweeps, at most m, and the
-    rows (r, phi, dphi, I) up to the first node where phi > phi_cap or
-    dphi * step > step_cap, else to s[m].
+def _growth(r: np.ndarray, dphi: np.ndarray, i: int) -> float:
+    """The growth rate of dphi over the cell ending at node i: in
+    (0, inf], or 0 where dphi does not grow, as at the origin."""
+    if i:
+        d0, d1 = dphi.item(i - 1), dphi.item(i)
+        if 0 < d0 < d1 < math.inf:
+            return math.log(d1 / d0) / (r.item(i) - r.item(i - 1))
+    return 0.0
+
+
+def _front(p: ProblemParams, log_f, rows: np.ndarray, j: int, more,
+           h: float, step: float, step_cap: float, phi_cap: float):
+    """The break line past node j of the columns `rows`, kept up to node j,
+    swept to a bitwise fixed point on the nodes from the settled front lo to
+    lo + L.  A sweep is phi by running sum with the slope frozen at the left
+    node, rewritten in place, then Picard's :func:`_pass`.  It reads phi
+    only through log f, or as the +inf tail where f is not evaluated, and
+    node i+1 depends only on that input at nodes <= i; so the nodes before
+    the first whose input the next sweep would change hold the one-step
+    walk's values bit for bit, and the front moves there.
+
+    L is _GROWTH_SPAN / (lam h) nodes, clamped to [_LOOKAHEAD_MIN,
+    _LOOKAHEAD_MAX], lam the growth rate of dphi over the last settled
+    cell.  Nodes entering the lookahead take the slope
+    dphi(s_hi) e^(g (s - s_hi)), g the growth rate over the cell ending at
+    s_hi, the last node the sweep before reached.  Neither changes a value.
+    The radii are the columns' first row, or else come from
+    `more(r, count)`: the radii past r, `count` of them unless the run ends
+    there.  Their radius parts (:func:`_cells`) are formed two lookaheads
+    at a time as the front needs them: arrays of whole grids would cost
+    more in fresh memory pages than the calls they save.
+
+    Returns the sweeps that compared log f, the furthest node a sweep
+    reached, the columns (a larger buffer where the run outgrew `rows`) and
+    the last node kept: the first where phi > phi_cap or
+    dphi * step > step_cap, else the run's last.
     """
-    m, inf = len(s) - 1, math.inf
-    cells, width = _cells(p, s), s[1:] - s[:-1]
-    rows = np.empty((4, m + 1))
-    rows[0] = s
-    _, phis, dphis, Is = rows
-    Is[0], phis[0] = I, phi
-    # the guess; e^0 is 1, so the first cell takes the walk's own slope
-    np.multiply(dphi, np.exp(lam * (s[:-1] - s[0])), out=dphis[:-1])
-    lo, logf = 0, None  # the last settled node; the log f a sweep read
-    # each check settles one more node, so sweep m returns at the latest
-    for sweep in range(m + 1):
-        np.multiply(dphis[lo:-1], width[lo:], out=phis[lo + 1:])
-        np.add.accumulate(phis[lo:], out=phis[lo:])
-        ahead = phis[lo:]
+    inf = math.inf
+    r, phis, dphis, Is = rows
+    # the radii are known up to node `last` and their parts `cells` from
+    # node `base` to `top`; the sweep before reached node hi, and logf is
+    # the log f it read, from node lo
+    base = lo = hi = far = top = j
+    last = j if more else rows.shape[1] - 1
+    cells, logf, sweeps = None, None, 0
+    while True:
+        lam = _growth(r, dphis, lo)
+        size = (_LOOKAHEAD_MAX if lam * h * _LOOKAHEAD_MAX <= _GROWTH_SPAN
+                else max(int(_GROWTH_SPAN / (lam * h)), _LOOKAHEAD_MIN))
+        if lo + size > top and (more or top < last):
+            # two lookaheads at a time: the fixed cost of a _cells call is
+            # that of forming about a thousand nodes
+            count = 2 * size
+            if more:
+                fresh = more(r[top], count)
+                if len(fresh) < count:
+                    more = None
+                last = top + len(fresh)
+                if last >= rows.shape[1]:
+                    grown = np.empty((4, max(2 * rows.shape[1], last + 1)))
+                    grown[:, :top + 1] = rows[:, :top + 1]
+                    rows = grown
+                    r, phis, dphis, Is = rows
+                r[top + 1:last + 1] = fresh
+            end = min(top + count, last)
+            if end > top:
+                parts = _cells(p, r[top:end + 1])
+                # drop the parts of the nodes before the front
+                cells = parts if cells is None else tuple(
+                    np.concatenate((old[lo - base:top - base], part))
+                    for old, part in zip(cells, parts))
+                base, top = lo, end
+        if lo == top:
+            return sweeps, far, rows, lo
+        reach = min(lo + size, top)
+        if reach > hi:
+            np.multiply(dphis[hi], np.exp(_growth(r, dphis, hi)
+                                          * (r[hi + 1:reach] - r[hi])),
+                        out=dphis[hi + 1:reach])
+        prev, hi, far = hi, reach, max(far, reach)
+        width = cells[0][lo - base:hi - base]
+        np.multiply(dphis[lo:hi], width, out=phis[lo + 1:hi + 1])
+        np.add.accumulate(phis[lo:hi + 1], out=phis[lo:hi + 1])
+        ahead = phis[lo:hi + 1]
         # phi never decreases, so only a tail of it can be +inf, where G is
         # +inf and f is not evaluated
         fin = len(ahead) if ahead[-1] < inf else int(np.argmin(ahead < inf))
-        new = f.log_eval(ahead[:fin])
-        if sweep:
+        new = log_f(ahead[:fin])
+        if logf is not None:
+            sweeps += 1
             # nodes lo and lo + 1 were read at the walk's phi; settled ends
-            # at the first node past them whose log f or tail state changed
-            both = min(fin, len(logf))
+            # at the first node past them whose log f or tail state changed,
+            # or past the nodes both sweeps reached
+            both, reached = min(fin, len(logf)), min(hi, prev) + 1
             same = new[2:both].view(np.int64) == logf[2:both].view(np.int64)
-            settled = (lo + 2 + int(same.argmin()) if not same.all()
-                       else m + 1 if fin == len(logf) else lo + both)
-            # done when all settled, or at a settled stop
+            # argmin and argmax give the first False and the first largest
+            # entry, at a fraction of the cost of all() and max()
+            first = int(same.argmin()) if len(same) else 0
+            settled = (lo + 2 + first if len(same) and not same[first]
+                       else reached if fin == len(logf)
+                       else min(lo + both, reached))
             kept, slopes = phis[lo + 1:settled], dphis[lo + 1:settled]
-            end = settled - 1 if settled > m else None
-            if len(kept) and not (slopes.max() * step <= step_cap
+            if len(kept) and not (slopes[slopes.argmax()] * step <= step_cap
                                   and kept[-1] <= phi_cap):
                 stops = (kept > phi_cap) | ~(slopes * step <= step_cap)
-                end = lo + 1 + int(stops.argmax())
-            if end is not None:
-                return sweep, rows[:, :end + 1]
+                return sweeps, far, rows, lo + 1 + int(stops.argmax())
             new, lo = new[settled - 1 - lo:], settled - 1
         logf = new
-        _pass(p.k, cells, logf, Is, dphis, lo)
+        if hi > lo:
+            _pass(p.k, cells, lo - base, logf, Is[lo:hi + 1],
+                  dphis[lo:hi + 1])
 
 
 def euler_break_line(p: ProblemParams, f: Nonlinearity, a: float,
@@ -442,9 +506,9 @@ def picard_solve(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     grid = _uniform_grid(r_end, h)
-    hcells = np.diff(grid)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cells = _cells(p, grid)
+    hcells = cells[0]
     phi = np.full(len(grid), float(a))
     deltas = []
     for _ in range(max_iter):

@@ -108,6 +108,73 @@ class TestLogEval:
         assert math.isnan(got[0])
 
 
+def unchecked_pow(q):
+    """A pow source with any q, q < 0 included, past the constructor's
+    check: the kernel must match log_eval there too."""
+    f = object.__new__(Nonlinearity)
+    for name, value in (("family", "pow"), ("param", q), ("fn", None),
+                        ("label", f"pow:{q}")):
+        object.__setattr__(f, name, value)
+    return f
+
+
+def square(t):
+    return t * t if t > 0 else 0.0
+
+
+KERNEL_SOURCES = {
+    "const": Nonlinearity.constant(1.7),
+    "exp": Nonlinearity.exponential(1.3),
+    "exp0": Nonlinearity.exponential(0.0),
+    **{f"pow{q}": unchecked_pow(q) for q in (0.0, 1.0, 2.5, -1.0)},
+    "custom": Nonlinearity.custom(square),
+}
+
+
+def independent_log(f, t):
+    """log f on each entry of t, written per family without the kernel:
+    the form log_eval had before it called it."""
+    if f.family == "const":
+        return np.full_like(t, np.log(f.param))
+    if f.family == "exp":
+        return f.param * t
+    if f.family == "pow":
+        return masked_pow_log(f.param, t)
+    vals = np.array([float(f.fn(float(v))) for v in t])
+    out = np.full_like(vals, -np.inf)
+    out[vals > 0] = np.log(vals[vals > 0])
+    return out
+
+
+class TestLogKernel:
+    """The bare log f that the walk and Picard call is log_eval bit for
+    bit, on every family and at t <= 0, -0.0, +inf and nan."""
+
+    special = st.sampled_from([0.0, -0.0, -1.0, -math.inf, math.inf,
+                               math.nan, 5e-324, 1.0, 1e308])
+
+    @given(st.sampled_from(sorted(KERNEL_SOURCES)),
+           st.lists(st.one_of(st.floats(), special), max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_kernel_is_log_eval(self, name, values):
+        f = KERNEL_SOURCES[name]
+        t = np.array(values, dtype=float)
+        before = t.copy()
+        with np.errstate(all="ignore"):
+            got = f._log_kernel(t)
+            want = f.log_eval(t)
+            independent = independent_log(f, t)
+        assert got.dtype == np.float64 and got.shape == t.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got.view(np.int64), independent.view(np.int64))
+        assert np.array_equal(t.view(np.int64), before.view(np.int64))
+
+    def test_kernel_is_built_once_per_source(self):
+        f = Nonlinearity.power_cutoff(2.5)
+        assert f._log_kernel is f._log_kernel
+        assert f == Nonlinearity.power_cutoff(2.5)
+
+
 class TestMonotone:
     @given(ts, ts, st.sampled_from(["const:2", "exp:0.7", "pow:1.3"]))
     @settings(max_examples=300, deadline=None)

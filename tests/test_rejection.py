@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessian_radial import (GaussianCandidate, Nonlinearity, ProblemParams,
-                            chi, ddphi_at_zero, default_radii, detect_blowup,
-                            dphi_from_integral, euler_break_line,
-                            gaussian_spectrum, gaussian_threshold_negative_mu,
+                            binom, chi, ddphi_at_zero, default_radii,
+                            detect_blowup, dphi_from_integral,
+                            euler_break_line, gaussian_spectrum,
+                            gaussian_threshold, gaussian_threshold_negative_mu,
                             ko_classify_analytic, ko_classify_numeric, mu_zero,
                             parse_f_spec, picard_solve, verify_subsolution)
 from hessian_radial.cli import main
@@ -52,6 +53,11 @@ def test_problem_params(n, k, mu, dim):
     rejected(ProblemParams, dim, 1, 0.0)
     rejected(ProblemParams, 3, dim, 0.0)
     rejected(mu_zero, 3, k)
+    rejected(gaussian_threshold, 3, k)
+    for call in (binom, mu_zero, gaussian_threshold):
+        rejected(call, dim, 1)
+        rejected(call, 4, dim)
+    rejected(gaussian_threshold_negative_mu, dim, 0.0)
 
 
 def test_problem_params_store_plain_ints():

@@ -82,3 +82,20 @@ def test_ko_digest_matches_the_committed_digests():
     changed = [line for line, old in zip(got, want) if line != old]
     assert len(got) == len(want) == 200, host
     assert not changed, (host, changed[:3])
+
+
+def test_sweep_counts():
+    """`--sweeps` counts each listed walk's log f evaluations, the nodes
+    they evaluate, the `_cells` calls and the nodes kept; the radius parts
+    are formed two lookaheads, at least 64 nodes, at a time."""
+    lines = walk_digest("--sweeps").stdout.splitlines()
+    assert len(lines) == 9
+    for line in lines:
+        words = line.split()
+        fields = dict(zip(words[-10::2], words[-9::2]))
+        assert list(fields) == ["log_f", "nodes_per_kept", "cells", "kept",
+                                "us_per_kept"]
+        log_f, cells, kept = (int(fields[name])
+                              for name in ("log_f", "cells", "kept"))
+        assert 0 < log_f and 0 < cells <= kept / 64 + 1
+        assert float(fields["nodes_per_kept"]) >= 1.0

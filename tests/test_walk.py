@@ -1,4 +1,4 @@
-"""The windowed break-line walk against a per-step reference walk."""
+"""The break-line walk's front against a per-step reference walk."""
 
 import math
 import struct
@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from hessian_radial import (Nonlinearity, ProblemParams, binom,
                             detect_blowup, solver)
 from hessian_radial.radial import _smooth_factor
-from hessian_radial.solver import (_WINDOW_MAX, _WINDOW_MIN, _uniform_grid,
-                                   _walk)
+from hessian_radial.solver import _LOOKAHEAD_MAX, _uniform_grid, _walk
 
 SOURCES = {
     "const": Nonlinearity.constant(1.7),
@@ -120,7 +119,7 @@ def reference_walk(p, f, a, r_end, h, nodes=None, phi_cap=math.inf):
 
 
 def both_walks(p, f, a, r_end, h, fixed, phi_cap=math.inf):
-    """(windowed walk, reference walk) on the same problem."""
+    """(the walk, reference walk) on the same problem."""
     if fixed:
         grid = _uniform_grid(r_end, h)
         return (_walk(p, f, a, r_end, h, nodes=grid, phi_cap=phi_cap),
@@ -149,34 +148,37 @@ def assert_same_walk(got, want):
 
 
 @pytest.fixture
-def windows(monkeypatch):
-    """The (nodes, sweeps, end) of every window the walk settles, in order:
-    a window of `nodes` steps kept its first `end`."""
+def runs(monkeypatch):
+    """The (reached, sweeps, kept) of every run the walk's front sweeps, in
+    order: its sweeps reached `reached` nodes past its first node, and it
+    kept the first `kept` of them."""
     seen = []
-    settle = solver._settle_window
+    front = solver._front
 
-    def recording(p, f, s, *args):
-        sweeps, rows = settle(p, f, s, *args)
-        seen.append((len(s) - 1, sweeps, rows.shape[1] - 1))
-        return sweeps, rows
-    monkeypatch.setattr(solver, "_settle_window", recording)
+    def recording(p, log_f, rows, j, *args):
+        sweeps, far, rows, end = front(p, log_f, rows, j, *args)
+        seen.append((far - j, sweeps, end - j))
+        return sweeps, far, rows, end
+    monkeypatch.setattr(solver, "_front", recording)
     return seen
 
 
-def cut_inside_a_later_window(seen, node):
-    """Node `node` is the last one kept by a window after the first, which
-    it cut short past that window's first step."""
+def cut_inside_a_run(seen, node):
+    """Node `node` is the last one kept by a run, which it cut short past
+    the run's first step and before the furthest node its sweeps reached,
+    more than one lookahead from the origin: the front had moved on."""
     start = 0
-    for i, (m, _, end) in enumerate(seen):
-        if start + end == node:
-            return i > 0 and 1 < end < m
-        start += end
+    for reached, _, kept in seen:
+        if start + kept == node:
+            return 1 < kept < reached and node > _LOOKAHEAD_MAX
+        start += kept
     return False
 
 
 class TestChunkedWalk:
-    """The windowed walk gives the reference walk's columns and bracket,
-    bit for bit, on walks that span several windows."""
+    """The walk gives the reference walk's columns and bracket, bit for
+    bit, on walks whose front moves through several lookaheads and whose
+    adaptive runs form their nodes in several chunks."""
 
     @pytest.mark.parametrize("fixed", [True, False])
     @pytest.mark.parametrize("p, family, a", [
@@ -186,22 +188,22 @@ class TestChunkedWalk:
         (ProblemParams(3, 1, -0.3), "exp", -0.5),
     ])
     def test_walks_spanning_several_chunks(self, p, family, a, fixed,
-                                           windows):
+                                           runs):
         got, want = both_walks(p, SOURCES[family], a, 1.5, 2e-4, fixed)
-        assert len(windows) >= 4
-        # each sweep after the first settles at least one more node, so a
-        # window of m nodes returns within m sweeps
-        assert all(sweeps <= m for m, sweeps, _ in windows)
+        assert sum(kept for _, _, kept in runs) > 3 * _LOOKAHEAD_MAX
+        # a sweep that compares log f settles at least one more node, but
+        # for one after a sweep that settled all the nodes its pass reached
+        assert all(sweeps <= kept for _, sweeps, kept in runs)
         assert_same_walk(got, want)
 
-    def test_halving_in_the_middle_of_a_chunk(self, windows):
+    def test_halving_in_the_middle_of_a_chunk(self, runs):
         # Liouville, exp(phi) with n = 2: blow-up at sqrt(8)
         args = (ProblemParams(2, 1, 0.0), Nonlinearity.exponential(1.0),
                 0.0, 4.0, 5e-4, False, 1e8)
         got, want = both_walks(*args)
         steps = np.diff(want[0][0])
         halved = int(np.argmax(steps < 0.5 * steps[0]))
-        assert cut_inside_a_later_window(windows, halved)
+        assert cut_inside_a_run(runs, halved)
         assert want[1] is not None
         assert_same_walk(got, want)
 
@@ -213,32 +215,34 @@ class TestChunkedWalk:
         assert r[-1] == 1.3004 and 0 < r[-1] - r[-2] < 0.5 * h
         assert_same_walk(got, want)
 
-    def test_cap_crossing_in_the_middle_of_a_chunk(self, windows):
+    def test_cap_crossing_in_the_middle_of_a_chunk(self, runs):
         args = (ProblemParams(3, 2, 0.5), SOURCES["exp"], 0.0, 3.0, 1e-3,
                 False, 5.0)
         got, want = both_walks(*args)
         crossing = len(want[0][0]) - 1
         assert want[0][1][-1] > 5.0
-        assert cut_inside_a_later_window(windows, crossing)
+        assert cut_inside_a_run(runs, crossing)
         assert_same_walk(got, want)
 
-    def test_overflow_in_the_middle_of_a_chunk(self, windows):
+    def test_overflow_in_the_middle_of_a_chunk(self, runs):
+        # fixed nodes are one run
         args = (ProblemParams(2, 1, 0.0), Nonlinearity.exponential(1.0),
                 0.0, 4.0, 1e-3, True)
         got, want = both_walks(*args)
         dphi = want[0][2]
         assert not dphi[-1] < math.inf
-        assert cut_inside_a_later_window(windows, len(dphi) - 1)
+        assert len(runs) == 1
+        assert cut_inside_a_run(runs, len(dphi) - 1)
         assert_same_walk(got, want)
 
-    def test_stop_on_the_first_step_of_a_window(self, windows):
-        # the halvings before the last window leave a step that crosses
-        # the cap at once
+    def test_stop_on_the_first_step_of_a_window(self, runs):
+        # the halvings before the last run leave a step that crosses the
+        # cap at once
         args = (ProblemParams(2, 1, 0.0), Nonlinearity.exponential(1.0),
                 0.0, 4.0, 2e-3, False, 1e8)
         got, want = both_walks(*args)
         assert want[1] is not None
-        assert windows[-1][2] == 1
+        assert runs[-1][2] == 1
         assert_same_walk(got, want)
 
     @pytest.mark.parametrize("p, a, r_end, h", [
@@ -255,15 +259,16 @@ class TestChunkedWalk:
         assert lo < hi <= math.nextafter(math.nextafter(lo, r_end), r_end)
         assert_same_walk(got, want)
 
-    def test_window_that_needs_many_sweeps(self, windows):
+    def test_window_that_needs_many_sweeps(self, runs):
         # steep exp with k >= 2 and mu > 0, halving up to its blow-up: 100
         # full sweeps when a window still unsettled after 16 sweeps was cut
-        # at its last settled node, 92 with every window swept to the end
+        # at its last settled node, 92 with every window swept to the end,
+        # 84 with the front
         got, want = both_walks(ProblemParams(3, 2, 1.0),
                                Nonlinearity.exponential(3.0), 0.0, 2.0, 1e-4,
                                False, 1e8)
-        assert all(sweeps <= m for m, sweeps, _ in windows)
-        assert sum(sweeps for _, sweeps, _ in windows) <= 92
+        assert all(sweeps <= kept for _, sweeps, kept in runs)
+        assert sum(sweeps for _, sweeps, _ in runs) <= 84
         assert_same_walk(got, want)
 
     @pytest.mark.parametrize("fixed", [True, False])
@@ -310,8 +315,8 @@ class TestChunkedWalk:
         (Nonlinearity.custom(lambda t: 2.0 if t < 3 else t), 0.5, 3.0),
         (SOURCES["const"], 0.5, 1.0),  # log f never changes
     ])
-    def test_flat_log_f(self, f, a, turn, fixed, windows):
-        # a window settles where the log f that a sweep read comes back
+    def test_flat_log_f(self, f, a, turn, fixed, runs):
+        # a node settles where the log f that a sweep read comes back
         # bitwise unchanged, which happens before phi stops moving where
         # log f is flat; phi passes `turn`, where log f changes, if at all
         got, want = both_walks(ProblemParams(3, 1, 0.2), f, a, 4.0, 2e-3,
@@ -319,18 +324,20 @@ class TestChunkedWalk:
         assert want[0][1][0] < turn < want[0][1][-1]
         assert_same_walk(got, want)
         if f.family == "const":
-            assert all(sweeps == 1 for _, sweeps, _ in windows)
+            # the walk fits in one lookahead, and every node settles at the
+            # first sweep that compares it
+            assert all(sweeps == 1 for _, sweeps, _ in runs)
 
-    def test_full_sweeps_of_a_growing_walk(self, windows):
-        # the growth-rate first guess and the growth-capped windows: 316
+    def test_full_sweeps_of_a_growing_walk(self, runs):
+        # the growth-rate first guess and the growth-sized lookahead: 316
         # full sweeps with a frozen-slope guess and phi as the fixed-point
         # test, 215 with 32-node first windows, 190 with every window sized
-        # by its growth span
+        # by its growth span, 134 with one front over the whole grid
         solver.euler_break_line(ProblemParams(2, 1, 0),
                                 Nonlinearity.power_cutoff(1.0), 1.0, 50, 2e-3)
-        assert sum(sweeps for _, sweeps, _ in windows) <= 200
+        assert sum(sweeps for _, sweeps, _ in runs) <= 134
 
-    def test_window_length_follows_halvings(self, windows):
+    def test_window_length_follows_halvings(self, runs):
         # computing node terms for far more nodes than the walks keep was
         # the cost of restarting every window at full length after a halving
         kept = []
@@ -347,14 +354,33 @@ class TestChunkedWalk:
                                    Nonlinearity.power_cutoff(2.5), 0.5,
                                    r_max=5, h0=1e-3)
         assert report.status == "finite_blowup" and len(kept) == 2
-        computed = sum(m for m, _, _ in windows)
+        computed = sum(reached for reached, _, _ in runs)
         assert computed <= 1.5 * sum(kept)
         # 344 full sweeps with 32-node windows at first and after each
         # halving, 314 with them after each halving only, 298 with none,
-        # 264 with no window cut after 16 sweeps
-        assert sum(sweeps for _, sweeps, _ in windows) <= 270
-        assert all(_WINDOW_MIN <= m <= _WINDOW_MAX
-                   for m, _, end in windows[:-1] if end == m)
+        # 264 with no window cut after 16 sweeps, 266 with the front
+        assert sum(sweeps for _, sweeps, _ in runs) <= 266
+        # no sweep reaches more than one lookahead past the settled front
+        assert all(reached - kept <= _LOOKAHEAD_MAX
+                   for reached, _, kept in runs)
+
+    @pytest.mark.parametrize("clamps", [(32, 32), (10 ** 9, 10 ** 9)])
+    @pytest.mark.parametrize("args", [
+        (ProblemParams(3, 2, 0.4), SOURCES["pow"], 0.5, 1.5, 2e-4, True),
+        (ProblemParams(5, 3, 1.1), SOURCES["custom"], 0.7, 1.5, 2e-4, False),
+        # halving up to a blow-up, and a cap crossing
+        (ProblemParams(2, 1, 0.0), Nonlinearity.exponential(1.0), 0.0, 4.0,
+         5e-4, False, 1e8),
+        (ProblemParams(3, 2, 0.5), SOURCES["exp"], 0.0, 3.0, 1e-3, False,
+         5.0),
+    ], ids=["fixed", "adaptive", "halving", "phi_cap"])
+    def test_lookahead_does_not_change_the_walk(self, args, clamps,
+                                                monkeypatch):
+        # the lookahead sets how many nodes a sweep computes, 32 or the
+        # whole grid here, and never the values
+        monkeypatch.setattr(solver, "_LOOKAHEAD_MIN", clamps[0])
+        monkeypatch.setattr(solver, "_LOOKAHEAD_MAX", clamps[1])
+        assert_same_walk(*both_walks(*args))
 
     @given(st.sampled_from([(2, 1), (3, 1), (3, 2), (4, 4), (5, 3), (6, 2)]),
            st.floats(min_value=-0.5, max_value=1.5),

@@ -1,6 +1,6 @@
 """Digest the break-line walks and Picard solves of one source tree.
 
-    python tools/walk_digest.py --src DIR [--cases N] [--seed S] [--verify | --ko]
+    python tools/walk_digest.py --src DIR [--cases N] [--seed S] [--verify | --ko | --sweeps]
 
 imports `hessian_radial` from DIR (a `src/` directory) and prints one line
 per case: its index, the call, and a sha256 over what the call returned --
@@ -53,16 +53,30 @@ first 200 of these lines are committed as `tests/data/ko_digest.txt`; a
 change that means to alter numeric verdicts regenerates it with
 
     python tools/walk_digest.py --src src --ko --cases 200 > tests/data/ko_digest.txt
+
+With `--sweeps` the cases are a fixed list of walks (`SWEEP_CASES`): the
+six sources of the `global` benchmark workload on `euler_break_line`, one
+of them on `detect_blowup`, a blow-up that halves its step many times and
+a steep `exp:3` blow-up.  Each line counts what the walks did: the log f
+evaluations (one per sweep), the nodes they evaluated per node the walks
+kept, the `_cells` calls (radius parts formed), the nodes kept, and the
+median wall time per node kept over 7 calls.  The counts are exact and
+repeat; the times depend on the host.  It reads either the walk's bare
+`Nonlinearity._log_kernel` or, in a tree without one, `log_eval`, so two
+trees compare the same way.
 """
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib
 import io
 import math
 import random
+import statistics
 import sys
+import time
 
 import numpy
 
@@ -261,6 +275,87 @@ def ko_line(hr, case):
             f"{sha.hexdigest()}")
 
 
+SWEEP_CASES = [
+    *[("euler_break_line", (n, k, 0.0), ("const", 1.0), (1.0, 50.0, 2e-3),
+       {}) for n, k in [(2, 1), (3, 2), (4, 4), (5, 3)]],
+    *[("euler_break_line", (n, 1, 0.0), ("pow", 1.0), (1.0, 50.0, 2e-3), {})
+      for n in (2, 3)],
+    ("detect_blowup", (2, 1, 0.0), ("pow", 1.0), (1.0,),
+     {"r_max": 50.0, "phi_cap": 1e30, "h0": 2e-3}),
+    ("detect_blowup", (4, 4, 0.0), ("pow", 2.5), (0.5,),
+     {"r_max": 5.0, "h0": 1e-3}),
+    ("detect_blowup", (3, 2, 1.0), ("exp", 3.0), (0.0,),
+     {"r_max": 2.0, "h0": 1e-4}),
+]
+
+
+@contextlib.contextmanager
+def counting(hr, counts):
+    """While open, add to `counts` the walk's log f evaluations and the
+    nodes they evaluate, the `_cells` calls and the nodes `_walk` keeps."""
+    solver = importlib.import_module("hessian_radial.solver")
+    cls = hr.Nonlinearity
+    cells, walk = solver._cells, solver._walk
+
+    def counted_log(log):
+        def counted(t):
+            counts["log_f"] += 1
+            counts["nodes"] += len(t)
+            return log(t)
+        return counted
+
+    def counted_cells(p, s):
+        counts["cells"] += 1
+        return cells(p, s)
+
+    def counted_walk(*args, **kwargs):
+        columns, bracket = walk(*args, **kwargs)
+        counts["kept"] += columns.shape[1] - 1
+        return columns, bracket
+
+    kernel = vars(cls).get("_log_kernel")
+    if kernel is not None:
+        patched = functools.cached_property(
+            lambda self: counted_log(kernel.func(self)))
+        patched.__set_name__(cls, "_log_kernel")
+        restore = ("_log_kernel", kernel)
+    else:
+        log_eval = cls.log_eval
+        patched = lambda self, t: counted_log(  # noqa: E731
+            lambda u: log_eval(self, u))(t)
+        restore = ("log_eval", log_eval)
+    setattr(cls, restore[0], patched)
+    solver._cells, solver._walk = counted_cells, counted_walk
+    try:
+        yield counts
+    finally:
+        setattr(cls, *restore)
+        solver._cells, solver._walk = cells, walk
+
+
+def sweeps_line(hr, case, repeats=7):
+    name, params, (family, param), args, kwargs = case
+    call = getattr(hr, name)
+
+    def run():
+        return call(hr.ProblemParams(*params), _source(hr, family, param),
+                    *args, **kwargs)
+    run()
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    counts = dict.fromkeys(("log_f", "nodes", "cells", "kept"), 0)
+    with counting(hr, counts):
+        run()
+    kept = counts["kept"]
+    return (f"{describe(case)} log_f {counts['log_f']} nodes_per_kept "
+            f"{counts['nodes'] / kept:.3f} cells {counts['cells']} "
+            f"kept {kept} "
+            f"us_per_kept {statistics.median(times) / kept * 1e6:.4f}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", required=True,
@@ -272,6 +367,8 @@ def main(argv=None):
                       help="digest verify CLI runs instead of walks")
     mode.add_argument("--ko", action="store_true",
                       help="digest numeric growth-integral verdicts instead")
+    mode.add_argument("--sweeps", action="store_true",
+                      help="count the sweeps of SWEEP_CASES' walks instead")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     hr = importlib.import_module("hessian_radial")
@@ -286,6 +383,10 @@ def main(argv=None):
     if args.ko:
         for i, case in enumerate(ko_cases(args.seed, args.cases)):
             print(i, ko_line(hr, case), flush=True)
+        return
+    if args.sweeps:
+        for i, case in enumerate(SWEEP_CASES):
+            print(i, sweeps_line(hr, case), flush=True)
         return
     for i, case in enumerate(cases(args.seed, args.cases)):
         print(i, describe(case), digest(hr, case), flush=True)
