@@ -15,6 +15,7 @@ any radius.
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -80,7 +81,7 @@ def gaussian_threshold(n: int, k: int) -> float:
     """Smallest A for which the Gaussian is a subsolution of
     S_k^(1/k)(.) = u^alpha for every mu >= 0 and alpha <= 1:
     A = (1/2) C(n,k)^(-1/k).  Sharp at the origin."""
-    n, k = _integers(n=n, k=k)
+    n, k = _integers(n, k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     return 0.5 * binom(n, k) ** (-1.0 / k)
@@ -89,7 +90,10 @@ def gaussian_threshold(n: int, k: int) -> float:
 def gaussian_threshold_negative_mu(n: int, mu: float) -> float:
     """Variant for k = 1 with mu < 0 (formula valid for any mu):
     A = 1/(2n) + n mu^2 / 8."""
-    n, = _integers(n=n)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not math.isfinite(mu):

@@ -45,7 +45,7 @@ class ProblemParams:
     mu: float = 0.0
 
     def __post_init__(self):
-        n, k = _integers(n=self.n, k=self.k)
+        n, k = _integers(self.n, self.k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         if self.n < 2:

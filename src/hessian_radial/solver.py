@@ -350,8 +350,8 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                              & (s[1:] > s[:-1]))
                     return s[1:] if steps.all() \
                         else s[1:int(np.argmin(steps)) + 1]
-            *_, rows, j = _front(p, log_f, rows, j, more, h_entry, step,
-                                 step_cap, phi_cap)
+            rows, j = _front(p, log_f, rows, j, more, h_entry, step,
+                             step_cap, phi_cap)
             if rows[1, j] > phi_cap:
                 bracket = tuple(rows[0, j - 1:j + 1].tolist())
                 break
@@ -370,6 +370,42 @@ def _growth(r: np.ndarray, dphi: np.ndarray, i: int) -> float:
     return 0.0
 
 
+def _lookahead(r: np.ndarray, dphi: np.ndarray, i: int, h: float) -> int:
+    """The nodes a sweep looks past node i: _GROWTH_SPAN / (lam h),
+    clamped to [_LOOKAHEAD_MIN, _LOOKAHEAD_MAX], lam the growth rate of
+    dphi over the cell ending at node i, and unbounded where dphi rises
+    from 0, as on the first cell."""
+    if i and dphi.item(i - 1) == 0 < dphi.item(i):
+        return _LOOKAHEAD_MIN
+    lam = _growth(r, dphi, i)
+    return (_LOOKAHEAD_MAX if lam * h * _LOOKAHEAD_MAX <= _GROWTH_SPAN
+            else max(int(_GROWTH_SPAN / (lam * h)), _LOOKAHEAD_MIN))
+
+
+def _stop_guess(r: np.ndarray, phis: np.ndarray, dphis: np.ndarray,
+                lo: int, hi: int, h: float, step: float, step_cap: float,
+                phi_cap: float) -> float:
+    """A guess, >= lo or inf, at the node where the walk stops: the first
+    past lo where the iterate up to hi has phi > phi_cap or
+    dphi * step > step_cap, else where dphi continued from node hi at its
+    growth rate there exceeds step_cap / step.  Nodes are step apart on an
+    adaptive run and h on fixed nodes, where step is 1 and min(h, step)
+    can only lengthen the guess."""
+    # phi never decreases: the largest slope and the last phi tell whether
+    # any node stops
+    slopes = dphis[lo + 1:hi + 1]
+    if hi > lo and not (slopes[slopes.argmax()] * step <= step_cap
+                        and phis[hi] <= phi_cap):
+        stops = (phis[lo + 1:hi + 1] > phi_cap) | ~(slopes * step <= step_cap)
+        return lo + 1 + int(stops.argmax())
+    # the growth of log dphi per node
+    g = _growth(r, dphis, hi) * min(h, step)
+    if not g > 0:
+        return math.inf
+    ahead = math.log(step_cap / (dphis.item(hi) * step)) / g
+    return hi + math.ceil(ahead) if ahead < math.inf else math.inf
+
+
 def _front(p: ProblemParams, log_f, rows: np.ndarray, j: int, more,
            h: float, step: float, step_cap: float, phi_cap: float):
     """The break line past node j of the columns `rows`, kept up to node j,
@@ -381,19 +417,19 @@ def _front(p: ProblemParams, log_f, rows: np.ndarray, j: int, more,
     the first whose input the next sweep would change hold the one-step
     walk's values bit for bit, and the front moves there.
 
-    L is _GROWTH_SPAN / (lam h) nodes, clamped to [_LOOKAHEAD_MIN,
-    _LOOKAHEAD_MAX], lam the growth rate of dphi over the last settled
-    cell.  Nodes entering the lookahead take the slope
-    dphi(s_hi) e^(g (s - s_hi)), g the growth rate over the cell ending at
-    s_hi, the last node the sweep before reached.  Neither changes a value.
-    The radii are the columns' first row, or else come from
-    `more(r, count)`: the radii past r, `count` of them unless the run ends
-    there.  Their radius parts (:func:`_cells`) are formed two lookaheads
-    at a time as the front needs them: arrays of whole grids would cost
-    more in fresh memory pages than the calls they save.
+    L is :func:`_lookahead` at the front.  Nodes entering the lookahead
+    take the slope dphi(s_hi) e^(g (s - s_hi)), g the growth rate over the
+    cell ending at s_hi, the last node the sweep before reached.  Neither
+    changes a value.  The radii are the columns' first row, or else come
+    from `more(r, count)`: the radii past r, `count` of them unless the run
+    ends there.  Their radius parts (:func:`_cells`) are formed as the
+    front needs them, first for one lookahead, then for the larger of one
+    lookahead past node hi and half the nodes the run has kept (at most
+    two of the longest lookaheads), but not past :func:`_stop_guess`.  A
+    call costs about as much as forming a thousand nodes, parts past the
+    stop go unused, and larger arrays take fresh memory pages.
 
-    Returns the sweeps that compared log f, the furthest node a sweep
-    reached, the columns (a larger buffer where the run outgrew `rows`) and
+    Returns the columns (a larger buffer where the run outgrew `rows`) and
     the last node kept: the first where phi > phi_cap or
     dphi * step > step_cap, else the run's last.
     """
@@ -402,18 +438,20 @@ def _front(p: ProblemParams, log_f, rows: np.ndarray, j: int, more,
     # the radii are known up to node `last` and their parts `cells` from
     # node `base` to `top`; the sweep before reached node hi, and logf is
     # the log f it read, from node lo
-    base = lo = hi = far = top = j
+    base = lo = hi = top = j
     last = j if more else rows.shape[1] - 1
-    cells, logf, sweeps = None, None, 0
+    cells = logf = None
     while True:
-        lam = _growth(r, dphis, lo)
-        size = (_LOOKAHEAD_MAX if lam * h * _LOOKAHEAD_MAX <= _GROWTH_SPAN
-                else max(int(_GROWTH_SPAN / (lam * h)), _LOOKAHEAD_MIN))
+        size = _lookahead(r, dphis, lo, h)
         if lo + size > top and (more or top < last):
-            # two lookaheads at a time: the fixed cost of a _cells call is
-            # that of forming about a thousand nodes
-            count = 2 * size
-            if more:
+            count = size if cells is None else max(
+                _lookahead(r, dphis, hi, h),
+                min((lo - j) // 2, 2 * _LOOKAHEAD_MAX))
+            # through the guessed stop, which is not before lo: lo < top
+            # after this
+            count = min(count, _stop_guess(r, phis, dphis, lo, hi, h, step,
+                                           step_cap, phi_cap) + 1 - top)
+            if count > 0 and more:
                 fresh = more(r[top], count)
                 if len(fresh) < count:
                     more = None
@@ -433,13 +471,13 @@ def _front(p: ProblemParams, log_f, rows: np.ndarray, j: int, more,
                     for old, part in zip(cells, parts))
                 base, top = lo, end
         if lo == top:
-            return sweeps, far, rows, lo
+            return rows, lo
         reach = min(lo + size, top)
         if reach > hi:
             np.multiply(dphis[hi], np.exp(_growth(r, dphis, hi)
                                           * (r[hi + 1:reach] - r[hi])),
                         out=dphis[hi + 1:reach])
-        prev, hi, far = hi, reach, max(far, reach)
+        prev, hi = hi, reach
         width = cells[0][lo - base:hi - base]
         np.multiply(dphis[lo:hi], width, out=phis[lo + 1:hi + 1])
         np.add.accumulate(phis[lo:hi + 1], out=phis[lo:hi + 1])
@@ -449,7 +487,6 @@ def _front(p: ProblemParams, log_f, rows: np.ndarray, j: int, more,
         fin = len(ahead) if ahead[-1] < inf else int(np.argmin(ahead < inf))
         new = log_f(ahead[:fin])
         if logf is not None:
-            sweeps += 1
             # nodes lo and lo + 1 were read at the walk's phi; settled ends
             # at the first node past them whose log f or tail state changed,
             # or past the nodes both sweeps reached
@@ -465,7 +502,7 @@ def _front(p: ProblemParams, log_f, rows: np.ndarray, j: int, more,
             if len(kept) and not (slopes[slopes.argmax()] * step <= step_cap
                                   and kept[-1] <= phi_cap):
                 stops = (kept > phi_cap) | ~(slopes * step <= step_cap)
-                return sweeps, far, rows, lo + 1 + int(stops.argmax())
+                return rows, lo + 1 + int(stops.argmax())
             new, lo = new[settled - 1 - lo:], settled - 1
         logf = new
         if hi > lo:

@@ -14,22 +14,19 @@ import numpy as np
 __all__ = ["elem_sym", "elem_sym_all", "in_gamma_k", "binom", "mu_zero"]
 
 
-def _integers(**values):
-    """The values as plain ints: operator.index maps True and numpy
-    integers to int, and any other type, 2.0 included, raises ValueError."""
+def _integers(n, k):
+    """n and k as plain ints: operator.index maps True and numpy integers
+    to int, and any other type, 2.0 included, raises ValueError."""
     try:
-        return tuple(operator.index(v) for v in values.values())
+        return operator.index(n), operator.index(k)
     except TypeError:
-        names = " and ".join(values)
-        got = ", ".join(f"{name}={v!r}" for name, v in values.items())
-        raise ValueError(f"{names} must be "
-                         + ("integers" if len(values) > 1 else "an integer")
-                         + f", got {got}") from None
+        raise ValueError(f"n and k must be integers, got n={n!r}, "
+                         f"k={k!r}") from None
 
 
 def binom(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k) for integers 0 <= k <= n."""
-    n, k = _integers(n=n, k=k)
+    n, k = _integers(n, k)
     if not 0 <= k <= n:
         raise ValueError(f"binom requires 0 <= k <= n, got n={n}, k={k}")
     return math.comb(n, k)
@@ -81,7 +78,7 @@ def mu_zero(n: int, k: int) -> float:
     Below this value the integral growth condition is both necessary and
     sufficient for existence of entire admissible subsolutions.
     """
-    n, k = _integers(n=n, k=k)
+    n, k = _integers(n, k)
     if not (1 <= k <= n):
         raise ValueError(f"mu_zero requires 1 <= k <= n, got n={n}, k={k}")
     return math.sqrt(k / (n * (k + 1) * binom(n, k) ** (1.0 / k)))

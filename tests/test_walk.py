@@ -149,28 +149,43 @@ def assert_same_walk(got, want):
 
 @pytest.fixture
 def runs(monkeypatch):
-    """The (reached, sweeps, kept) of every run the walk's front sweeps, in
-    order: its sweeps reached `reached` nodes past its first node, and it
-    kept the first `kept` of them."""
+    """The (formed, sweeps, kept, longest) of every run the walk's front
+    sweeps, in order: it formed the radius parts (solver._cells) of `formed`
+    nodes past its first, compared log f in `sweeps` sweeps, kept `kept`
+    nodes and evaluated log f at most at `longest` nodes in one sweep."""
     seen = []
-    front = solver._front
+    front, cells = solver._front, solver._cells
+
+    def forming(p, s):
+        seen[-1][0] += len(s) - 1
+        return cells(p, s)
 
     def recording(p, log_f, rows, j, *args):
-        sweeps, far, rows, end = front(p, log_f, rows, j, *args)
-        seen.append((far - j, sweeps, end - j))
-        return sweeps, far, rows, end
+        run = [0, 0, 0, 0]
+        seen.append(run)
+
+        def evaluating(t):
+            run[1] += 1
+            run[3] = max(run[3], len(t))
+            return log_f(t)
+        rows, end = front(p, evaluating, rows, j, *args)
+        # the first evaluation of a run has no sweep before it to compare
+        run[1], run[2] = max(run[1] - 1, 0), end - j
+        return rows, end
     monkeypatch.setattr(solver, "_front", recording)
+    monkeypatch.setattr(solver, "_cells", forming)
     return seen
 
 
 def cut_inside_a_run(seen, node):
     """Node `node` is the last one kept by a run, which it cut short past
-    the run's first step and before the furthest node its sweeps reached,
-    more than one lookahead from the origin: the front had moved on."""
+    the run's first step and before the last node whose radius parts it
+    formed, more than one lookahead from the origin: the front had moved
+    on."""
     start = 0
-    for reached, _, kept in seen:
+    for formed, _, kept, _ in seen:
         if start + kept == node:
-            return 1 < kept < reached and node > _LOOKAHEAD_MAX
+            return 1 < kept < formed and node > _LOOKAHEAD_MAX
         start += kept
     return False
 
@@ -190,10 +205,10 @@ class TestChunkedWalk:
     def test_walks_spanning_several_chunks(self, p, family, a, fixed,
                                            runs):
         got, want = both_walks(p, SOURCES[family], a, 1.5, 2e-4, fixed)
-        assert sum(kept for _, _, kept in runs) > 3 * _LOOKAHEAD_MAX
+        assert sum(kept for _, _, kept, _ in runs) > 3 * _LOOKAHEAD_MAX
         # a sweep that compares log f settles at least one more node, but
         # for one after a sweep that settled all the nodes its pass reached
-        assert all(sweeps <= kept for _, sweeps, kept in runs)
+        assert all(sweeps <= kept for _, sweeps, kept, _ in runs)
         assert_same_walk(got, want)
 
     def test_halving_in_the_middle_of_a_chunk(self, runs):
@@ -267,8 +282,8 @@ class TestChunkedWalk:
         got, want = both_walks(ProblemParams(3, 2, 1.0),
                                Nonlinearity.exponential(3.0), 0.0, 2.0, 1e-4,
                                False, 1e8)
-        assert all(sweeps <= kept for _, sweeps, kept in runs)
-        assert sum(sweeps for _, sweeps, _ in runs) <= 84
+        assert all(sweeps <= kept for _, sweeps, kept, _ in runs)
+        assert sum(sweeps for _, sweeps, _, _ in runs) <= 84
         assert_same_walk(got, want)
 
     @pytest.mark.parametrize("fixed", [True, False])
@@ -326,7 +341,7 @@ class TestChunkedWalk:
         if f.family == "const":
             # the walk fits in one lookahead, and every node settles at the
             # first sweep that compares it
-            assert all(sweeps == 1 for _, sweeps, _ in runs)
+            assert all(sweeps == 1 for _, sweeps, _, _ in runs)
 
     def test_full_sweeps_of_a_growing_walk(self, runs):
         # the growth-rate first guess and the growth-sized lookahead: 316
@@ -335,7 +350,7 @@ class TestChunkedWalk:
         # by its growth span, 134 with one front over the whole grid
         solver.euler_break_line(ProblemParams(2, 1, 0),
                                 Nonlinearity.power_cutoff(1.0), 1.0, 50, 2e-3)
-        assert sum(sweeps for _, sweeps, _ in runs) <= 134
+        assert sum(sweeps for _, sweeps, _, _ in runs) <= 134
 
     def test_window_length_follows_halvings(self, runs):
         # computing node terms for far more nodes than the walks keep was
@@ -354,15 +369,15 @@ class TestChunkedWalk:
                                    Nonlinearity.power_cutoff(2.5), 0.5,
                                    r_max=5, h0=1e-3)
         assert report.status == "finite_blowup" and len(kept) == 2
-        computed = sum(reached for reached, _, _ in runs)
+        computed = sum(formed for formed, _, _, _ in runs)
         assert computed <= 1.5 * sum(kept)
         # 344 full sweeps with 32-node windows at first and after each
         # halving, 314 with them after each halving only, 298 with none,
         # 264 with no window cut after 16 sweeps, 266 with the front
-        assert sum(sweeps for _, sweeps, _ in runs) <= 266
+        assert sum(sweeps for _, sweeps, _, _ in runs) <= 266
         # no sweep reaches more than one lookahead past the settled front
-        assert all(reached - kept <= _LOOKAHEAD_MAX
-                   for reached, _, kept in runs)
+        assert all(longest <= _LOOKAHEAD_MAX + 1
+                   for _, _, _, longest in runs)
 
     @pytest.mark.parametrize("clamps", [(32, 32), (10 ** 9, 10 ** 9)])
     @pytest.mark.parametrize("args", [

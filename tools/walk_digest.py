@@ -59,8 +59,9 @@ six sources of the `global` benchmark workload on `euler_break_line`, one
 of them on `detect_blowup`, a blow-up that halves its step many times and
 a steep `exp:3` blow-up.  Each line counts what the walks did: the log f
 evaluations (one per sweep), the nodes they evaluated per node the walks
-kept, the `_cells` calls (radius parts formed), the nodes kept, and the
-median wall time per node kept over 7 calls.  The counts are exact and
+kept, the `_cells` calls and the nodes whose radius parts they formed per
+node kept, the nodes kept, and the median wall time per node kept over 7
+calls.  The counts are exact and
 repeat; the times depend on the host.  It reads either the walk's bare
 `Nonlinearity._log_kernel` or, in a tree without one, `log_eval`, so two
 trees compare the same way.
@@ -292,7 +293,8 @@ SWEEP_CASES = [
 @contextlib.contextmanager
 def counting(hr, counts):
     """While open, add to `counts` the walk's log f evaluations and the
-    nodes they evaluate, the `_cells` calls and the nodes `_walk` keeps."""
+    nodes they evaluate, the `_cells` calls and the nodes they form, and
+    the nodes `_walk` keeps."""
     solver = importlib.import_module("hessian_radial.solver")
     cls = hr.Nonlinearity
     cells, walk = solver._cells, solver._walk
@@ -306,6 +308,7 @@ def counting(hr, counts):
 
     def counted_cells(p, s):
         counts["cells"] += 1
+        counts["formed"] += len(s) - 1
         return cells(p, s)
 
     def counted_walk(*args, **kwargs):
@@ -346,12 +349,13 @@ def sweeps_line(hr, case, repeats=7):
         start = time.perf_counter()
         run()
         times.append(time.perf_counter() - start)
-    counts = dict.fromkeys(("log_f", "nodes", "cells", "kept"), 0)
+    counts = dict.fromkeys(("log_f", "nodes", "cells", "formed", "kept"), 0)
     with counting(hr, counts):
         run()
     kept = counts["kept"]
     return (f"{describe(case)} log_f {counts['log_f']} nodes_per_kept "
             f"{counts['nodes'] / kept:.3f} cells {counts['cells']} "
+            f"formed_per_kept {counts['formed'] / kept:.3f} "
             f"kept {kept} "
             f"us_per_kept {statistics.median(times) / kept * 1e6:.4f}")
 
