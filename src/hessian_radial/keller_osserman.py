@@ -20,6 +20,7 @@ import numpy as np
 
 from .nonlinearity import Nonlinearity
 from .radial import ProblemParams
+from .symmetric import _integers
 
 __all__ = [
     "DIVERGES", "CONVERGES", "INCONCLUSIVE",
@@ -105,6 +106,7 @@ def ko_classify_analytic(f: Nonlinearity, k: int) -> KOVerdict:
                   exponentially).
     pow:q         outer exponent (kq+1)/(k+1): diverges iff q <= 1.
     """
+    (k,) = _integers(k=k)
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k}")
     if f.family == "const":
@@ -133,6 +135,7 @@ def ko_classify_numeric(f: Nonlinearity, k: int) -> KOVerdict:
     convergence by exponential decay, with no tail exponent.  A source that
     is +inf at some node converges: the outer integrand is 0 from there on.
     """
+    (k,) = _integers(k=k)
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k}")
     tau = np.geomspace(*_TAU_RANGE, _TAU_NODES)

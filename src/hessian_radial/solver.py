@@ -36,6 +36,7 @@ import numpy as np
 from .nonlinearity import Nonlinearity
 from .radial import (AdmissibilityError, ProblemParams, _G_into,
                      _log_G_terms, _slope_into, chi, dphi_from_integral)
+from .symmetric import _integers
 
 __all__ = [
     "SCHEMA_ID", "RadialProfile", "BlowupReport", "NonConvergenceError",
@@ -297,11 +298,13 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     spacing.  Returns the columns (r, phi, dphi, I) as rows and the blow-up
     bracket, None at r_end.
 
-    The columns are one buffer that :func:`_front` sweeps.  On `nodes` it
-    is one run.  The adaptive walk is a run per step size: r, r + step, ...
-    summed as r + step, formed as the front needs them, up to the node
-    where the step halves, a clamped last step or one that r + step rounds
-    away; its lookahead takes h before the run's own halvings.
+    The columns are one buffer that :func:`_front` sweeps, one run at a
+    time, and fills with the radii its `more` gives as the front needs
+    them.  On `nodes` it is one run, whose `more` slices the grid.  The
+    adaptive walk is a run per step size: r, r + step, ... summed as
+    r + step, up to the node where the step halves, a clamped last step or
+    one that r + step rounds away; its lookahead takes h before the run's
+    own halvings.
     """
     # dphi * step passes the halving test iff it is finite and <= the cap;
     # on fixed nodes (step 1) the walk stops where dphi is not finite
@@ -318,9 +321,12 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
         else:
             # the grid ends at r_end, its spacing far above tail
             rows = np.empty((4, len(nodes)))
-            rows[0] = nodes
+
+            def more(r0, count):
+                """Up to `count` nodes past r0, a node of the grid."""
+                start = nodes.searchsorted(r0) + 1
+                return nodes[start:start + count]
         rows[:, 0] = 0.0, float(a), 0.0, 0.0
-        more = None
         while True:
             if nodes is None:
                 r, dphi = rows[0::2, j].tolist()
@@ -382,28 +388,18 @@ def _lookahead(r: np.ndarray, dphi: np.ndarray, i: int, h: float) -> int:
             else max(int(_GROWTH_SPAN / (lam * h)), _LOOKAHEAD_MIN))
 
 
-def _stop_guess(r: np.ndarray, phis: np.ndarray, dphis: np.ndarray,
-                lo: int, hi: int, h: float, step: float, step_cap: float,
-                phi_cap: float) -> float:
-    """A guess, >= lo or inf, at the node where the walk stops: the first
-    past lo where the iterate up to hi has phi > phi_cap or
-    dphi * step > step_cap, else where dphi continued from node hi at its
-    growth rate there exceeds step_cap / step.  Nodes are step apart on an
-    adaptive run and h on fixed nodes, where step is 1 and min(h, step)
-    can only lengthen the guess."""
+def _first_stop(phis: np.ndarray, dphis: np.ndarray, lo: int, hi: int,
+                step: float, step_cap: float, phi_cap: float) -> int | None:
+    """The first of the nodes lo+1..hi where phi > phi_cap or
+    dphi * step > step_cap (or is nan), None if none is."""
+    ahead, slopes = phis[lo + 1:hi + 1], dphis[lo + 1:hi + 1]
     # phi never decreases: the largest slope and the last phi tell whether
     # any node stops
-    slopes = dphis[lo + 1:hi + 1]
-    if hi > lo and not (slopes[slopes.argmax()] * step <= step_cap
-                        and phis[hi] <= phi_cap):
-        stops = (phis[lo + 1:hi + 1] > phi_cap) | ~(slopes * step <= step_cap)
+    if len(ahead) and not (slopes[slopes.argmax()] * step <= step_cap
+                           and ahead[-1] <= phi_cap):
+        stops = (ahead > phi_cap) | ~(slopes * step <= step_cap)
         return lo + 1 + int(stops.argmax())
-    # the growth of log dphi per node
-    g = _growth(r, dphis, hi) * min(h, step)
-    if not g > 0:
-        return math.inf
-    ahead = math.log(step_cap / (dphis.item(hi) * step)) / g
-    return hi + math.ceil(ahead) if ahead < math.inf else math.inf
+    return None
 
 
 def _front(p: ProblemParams, log_f, rows: np.ndarray, j: int, more,
@@ -420,14 +416,14 @@ def _front(p: ProblemParams, log_f, rows: np.ndarray, j: int, more,
     L is :func:`_lookahead` at the front.  Nodes entering the lookahead
     take the slope dphi(s_hi) e^(g (s - s_hi)), g the growth rate over the
     cell ending at s_hi, the last node the sweep before reached.  Neither
-    changes a value.  The radii are the columns' first row, or else come
-    from `more(r, count)`: the radii past r, `count` of them unless the run
-    ends there.  Their radius parts (:func:`_cells`) are formed as the
-    front needs them, first for one lookahead, then for the larger of one
-    lookahead past node hi and half the nodes the run has kept (at most
-    two of the longest lookaheads), but not past :func:`_stop_guess`.  A
-    call costs about as much as forming a thousand nodes, parts past the
-    stop go unused, and larger arrays take fresh memory pages.
+    changes a value.  The radii come from `more(r, count)`: the radii past
+    r, `count` of them unless the run ends there.  Their radius parts
+    (:func:`_cells`) are formed as the front needs them, for the larger of
+    one lookahead past node hi and half the nodes the run has kept (at most
+    two of the longest lookaheads), but not past the first node where the
+    sweep before stops (:func:`_first_stop`).  A call costs about as much
+    as forming a thousand nodes, parts past the stop go unused, and larger
+    arrays take fresh memory pages.
 
     Returns the columns (a larger buffer where the run outgrew `rows`) and
     the last node kept: the first where phi > phi_cap or
@@ -435,35 +431,30 @@ def _front(p: ProblemParams, log_f, rows: np.ndarray, j: int, more,
     """
     inf = math.inf
     r, phis, dphis, Is = rows
-    # the radii are known up to node `last` and their parts `cells` from
-    # node `base` to `top`; the sweep before reached node hi, and logf is
-    # the log f it read, from node lo
+    # the radii are known up to node `top` and their parts `cells` from
+    # node `base`; the sweep before reached node hi, and logf is the log f
+    # it read, from node lo
     base = lo = hi = top = j
-    last = j if more else rows.shape[1] - 1
     cells = logf = None
     while True:
         size = _lookahead(r, dphis, lo, h)
-        if lo + size > top and (more or top < last):
-            count = size if cells is None else max(
-                _lookahead(r, dphis, hi, h),
-                min((lo - j) // 2, 2 * _LOOKAHEAD_MAX))
-            # through the guessed stop, which is not before lo: lo < top
-            # after this
-            count = min(count, _stop_guess(r, phis, dphis, lo, hi, h, step,
-                                           step_cap, phi_cap) + 1 - top)
-            if count > 0 and more:
-                fresh = more(r[top], count)
-                if len(fresh) < count:
-                    more = None
-                last = top + len(fresh)
-                if last >= rows.shape[1]:
-                    grown = np.empty((4, max(2 * rows.shape[1], last + 1)))
+        if lo + size > top and more:
+            count = max(_lookahead(r, dphis, hi, h),
+                        min((lo - j) // 2, 2 * _LOOKAHEAD_MAX))
+            stop = _first_stop(phis, dphis, lo, hi, step, step_cap, phi_cap)
+            if stop is not None:
+                count = min(count, stop + 1 - top)
+            fresh = more(r[top], count) if count > 0 else ()
+            if len(fresh) < count:
+                more = None
+            end = top + len(fresh)
+            if end > top:
+                if end >= rows.shape[1]:
+                    grown = np.empty((4, max(2 * rows.shape[1], end + 1)))
                     grown[:, :top + 1] = rows[:, :top + 1]
                     rows = grown
                     r, phis, dphis, Is = rows
-                r[top + 1:last + 1] = fresh
-            end = min(top + count, last)
-            if end > top:
+                r[top + 1:end + 1] = fresh
                 parts = _cells(p, r[top:end + 1])
                 # drop the parts of the nodes before the front
                 cells = parts if cells is None else tuple(
@@ -498,11 +489,10 @@ def _front(p: ProblemParams, log_f, rows: np.ndarray, j: int, more,
             settled = (lo + 2 + first if len(same) and not same[first]
                        else reached if fin == len(logf)
                        else min(lo + both, reached))
-            kept, slopes = phis[lo + 1:settled], dphis[lo + 1:settled]
-            if len(kept) and not (slopes[slopes.argmax()] * step <= step_cap
-                                  and kept[-1] <= phi_cap):
-                stops = (kept > phi_cap) | ~(slopes * step <= step_cap)
-                return rows, lo + 1 + int(stops.argmax())
+            stop = _first_stop(phis, dphis, lo, settled - 1, step, step_cap,
+                               phi_cap)
+            if stop is not None:
+                return rows, stop
             new, lo = new[settled - 1 - lo:], settled - 1
         logf = new
         if hi > lo:
@@ -535,11 +525,13 @@ def picard_solve(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     monotone f, so plain undamped iteration converges whenever the solution
     exists on [0, r_end]; convergence is declared when the maximum node
     change drops below `tol`, which must be finite and > 0 (an infinite one
-    would accept the first iterate), after at most `max_iter` >= 1 sweeps.
+    would accept the first iterate), after at most `max_iter` sweeps, an
+    integer >= 1.
     """
     _require_solvable(p, a, r_end, h)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    (max_iter,) = _integers(max_iter=max_iter)
     if not max_iter >= 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     grid = _uniform_grid(r_end, h)

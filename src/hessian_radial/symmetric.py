@@ -14,19 +14,22 @@ import numpy as np
 __all__ = ["elem_sym", "elem_sym_all", "in_gamma_k", "binom", "mu_zero"]
 
 
-def _integers(n, k):
-    """n and k as plain ints: operator.index maps True and numpy integers
-    to int, and any other type, 2.0 included, raises ValueError."""
+def _integers(**values):
+    """The values as plain ints, in order: operator.index maps True and
+    numpy integers to int, and any other type, 2.0 included, raises
+    ValueError."""
     try:
-        return operator.index(n), operator.index(k)
+        return tuple(map(operator.index, values.values()))
     except TypeError:
-        raise ValueError(f"n and k must be integers, got n={n!r}, "
-                         f"k={k!r}") from None
+        got = ", ".join(f"{name}={value!r}" for name, value in values.items())
+        noun = "integers" if len(values) > 1 else "an integer"
+        raise ValueError(f"{' and '.join(values)} must be {noun}, "
+                         f"got {got}") from None
 
 
 def binom(n: int, k: int) -> int:
     """Exact binomial coefficient C(n, k) for integers 0 <= k <= n."""
-    n, k = _integers(n, k)
+    n, k = _integers(n=n, k=k)
     if not 0 <= k <= n:
         raise ValueError(f"binom requires 0 <= k <= n, got n={n}, k={k}")
     return math.comb(n, k)
@@ -78,7 +81,7 @@ def mu_zero(n: int, k: int) -> float:
     Below this value the integral growth condition is both necessary and
     sufficient for existence of entire admissible subsolutions.
     """
-    n, k = _integers(n, k)
+    n, k = _integers(n=n, k=k)
     if not (1 <= k <= n):
         raise ValueError(f"mu_zero requires 1 <= k <= n, got n={n}, k={k}")
     return math.sqrt(k / (n * (k + 1) * binom(n, k) ** (1.0 / k)))

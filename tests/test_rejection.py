@@ -31,7 +31,7 @@ K_BELOW_ONE = st.integers(-5, 0)
 N_BELOW_TWO = st.integers(-5, 1)
 # an accumulated integral must be >= 0 (+inf included)
 BAD_INTEGRAL = st.floats(max_value=0.0, exclude_max=True) | st.just(math.nan)
-# n and k must be integers: no float passes, not even a whole one
+# n, k and max_iter must be integers: no float passes, not even a whole one
 NOT_INTEGER = st.sampled_from([2.0, 3.0, 2.5]) | NON_FINITE
 
 P = ProblemParams(2, 1, 0.0)
@@ -67,15 +67,16 @@ def test_problem_params_store_plain_ints():
     assert type(p.to_dict()["k"]) is int
 
 
-@given(value=NON_FINITE, k=K_BELOW_ONE,
+@given(value=NON_FINITE, k=K_BELOW_ONE, dim=NOT_INTEGER,
        family=st.sampled_from(["const", "exp", "pow"]))
 @settings(max_examples=20)
-def test_sources_and_growth_integral(value, k, family):
+def test_sources_and_growth_integral(value, k, dim, family):
     rejected(parse_f_spec, f"{family}:{value!r}")
     rejected({"const": Nonlinearity.constant, "exp": Nonlinearity.exponential,
               "pow": Nonlinearity.power_cutoff}[family], value)
-    rejected(ko_classify_analytic, CONST, k)
-    rejected(ko_classify_numeric, CONST, k)
+    for classify in (ko_classify_analytic, ko_classify_numeric):
+        rejected(classify, CONST, k)
+        rejected(classify, CONST, dim)
 
 
 @given(A=BAD_SIZE, alpha=NON_FINITE, r_max=BAD_SIZE,
@@ -108,7 +109,8 @@ def test_walks_and_solves(a, size, max_iter, below, integral):
         rejected(solve, P, CONST, 0.0, size, 0.1)
         rejected(solve, P, CONST, 0.0, 1.0, size)
     rejected(picard_solve, P, CONST, 0.0, 1.0, 0.1, tol=size)
-    rejected(picard_solve, P, CONST, 0.0, 1.0, 0.1, max_iter=max_iter)
+    for bad in (max_iter, 2.5, math.inf):
+        rejected(picard_solve, P, CONST, 0.0, 1.0, 0.1, max_iter=bad)
     rejected(detect_blowup, P, CONST, a, 1.0)
     rejected(detect_blowup, P, CONST, 0.0, size)
     rejected(detect_blowup, P, CONST, 0.0, 1.0, h0=size)

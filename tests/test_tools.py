@@ -85,20 +85,22 @@ def test_ko_digest_matches_the_committed_digests():
 
 
 def test_sweep_counts():
-    """`--sweeps` counts each listed walk's log f evaluations, the nodes
-    they evaluate, the `_cells` calls, the nodes whose radius parts they
-    form and the nodes kept; every node kept has its parts formed, and the
-    walks form them for no more than 1.5 times the nodes they keep in
-    calls of 64 nodes or more on average."""
+    """`--sweeps` counts each listed walk's runs, log f evaluations, the
+    nodes they evaluate, the `_cells` calls, the nodes whose radius parts
+    they form and the nodes kept; every run forms parts and evaluates log
+    f, every node kept has its parts formed, and the walks form them for no
+    more than 1.5 times the nodes they keep in calls of 64 nodes or more on
+    average."""
     lines = walk_digest("--sweeps").stdout.splitlines()
     assert len(lines) == 9
     for line in lines:
         words = line.split()
-        fields = dict(zip(words[-12::2], words[-11::2]))
-        assert list(fields) == ["log_f", "nodes_per_kept", "cells",
+        fields = dict(zip(words[-14::2], words[-13::2]))
+        assert list(fields) == ["runs", "log_f", "nodes_per_kept", "cells",
                                 "formed_per_kept", "kept", "us_per_kept"]
-        log_f, cells, kept = (int(fields[name])
-                              for name in ("log_f", "cells", "kept"))
-        assert 0 < log_f and 0 < cells <= kept / 64 + 1
+        runs, log_f, cells, kept = (
+            int(fields[name]) for name in ("runs", "log_f", "cells", "kept"))
+        assert 0 < runs <= min(log_f, cells)
+        assert 0 < cells <= kept / 64 + 1
         assert float(fields["nodes_per_kept"]) >= 1.0
         assert 1.0 <= float(fields["formed_per_kept"]) <= 1.5

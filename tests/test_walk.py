@@ -3,6 +3,7 @@
 import math
 import struct
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,28 +150,29 @@ def assert_same_walk(got, want):
 
 @pytest.fixture
 def runs(monkeypatch):
-    """The (formed, sweeps, kept, longest) of every run the walk's front
-    sweeps, in order: it formed the radius parts (solver._cells) of `formed`
-    nodes past its first, compared log f in `sweeps` sweeps, kept `kept`
-    nodes and evaluated log f at most at `longest` nodes in one sweep."""
+    """What every run the walk's front sweeps did, in order: it formed the
+    radius parts of `formed` nodes past its first in `cells` calls of
+    solver._cells, compared log f in `sweeps` sweeps, kept `kept` nodes and
+    evaluated log f at most at `longest` nodes in one sweep."""
     seen = []
     front, cells = solver._front, solver._cells
 
     def forming(p, s):
-        seen[-1][0] += len(s) - 1
+        seen[-1].formed += len(s) - 1
+        seen[-1].cells += 1
         return cells(p, s)
 
     def recording(p, log_f, rows, j, *args):
-        run = [0, 0, 0, 0]
+        run = SimpleNamespace(formed=0, cells=0, sweeps=0, kept=0, longest=0)
         seen.append(run)
 
         def evaluating(t):
-            run[1] += 1
-            run[3] = max(run[3], len(t))
+            run.sweeps += 1
+            run.longest = max(run.longest, len(t))
             return log_f(t)
         rows, end = front(p, evaluating, rows, j, *args)
         # the first evaluation of a run has no sweep before it to compare
-        run[1], run[2] = max(run[1] - 1, 0), end - j
+        run.sweeps, run.kept = max(run.sweeps - 1, 0), end - j
         return rows, end
     monkeypatch.setattr(solver, "_front", recording)
     monkeypatch.setattr(solver, "_cells", forming)
@@ -183,10 +185,10 @@ def cut_inside_a_run(seen, node):
     formed, more than one lookahead from the origin: the front had moved
     on."""
     start = 0
-    for formed, _, kept, _ in seen:
-        if start + kept == node:
-            return 1 < kept < formed and node > _LOOKAHEAD_MAX
-        start += kept
+    for run in seen:
+        if start + run.kept == node:
+            return 1 < run.kept < run.formed and node > _LOOKAHEAD_MAX
+        start += run.kept
     return False
 
 
@@ -205,10 +207,10 @@ class TestChunkedWalk:
     def test_walks_spanning_several_chunks(self, p, family, a, fixed,
                                            runs):
         got, want = both_walks(p, SOURCES[family], a, 1.5, 2e-4, fixed)
-        assert sum(kept for _, _, kept, _ in runs) > 3 * _LOOKAHEAD_MAX
+        assert sum(run.kept for run in runs) > 3 * _LOOKAHEAD_MAX
         # a sweep that compares log f settles at least one more node, but
         # for one after a sweep that settled all the nodes its pass reached
-        assert all(sweeps <= kept for _, sweeps, kept, _ in runs)
+        assert all(run.sweeps <= run.kept for run in runs)
         assert_same_walk(got, want)
 
     def test_halving_in_the_middle_of_a_chunk(self, runs):
@@ -257,7 +259,7 @@ class TestChunkedWalk:
                 0.0, 4.0, 2e-3, False, 1e8)
         got, want = both_walks(*args)
         assert want[1] is not None
-        assert runs[-1][2] == 1
+        assert runs[-1].kept == 1
         assert_same_walk(got, want)
 
     @pytest.mark.parametrize("p, a, r_end, h", [
@@ -282,8 +284,8 @@ class TestChunkedWalk:
         got, want = both_walks(ProblemParams(3, 2, 1.0),
                                Nonlinearity.exponential(3.0), 0.0, 2.0, 1e-4,
                                False, 1e8)
-        assert all(sweeps <= kept for _, sweeps, kept, _ in runs)
-        assert sum(sweeps for _, sweeps, _, _ in runs) <= 84
+        assert all(run.sweeps <= run.kept for run in runs)
+        assert sum(run.sweeps for run in runs) <= 84
         assert_same_walk(got, want)
 
     @pytest.mark.parametrize("fixed", [True, False])
@@ -341,7 +343,7 @@ class TestChunkedWalk:
         if f.family == "const":
             # the walk fits in one lookahead, and every node settles at the
             # first sweep that compares it
-            assert all(sweeps == 1 for _, sweeps, _, _ in runs)
+            assert all(run.sweeps == 1 for run in runs)
 
     def test_full_sweeps_of_a_growing_walk(self, runs):
         # the growth-rate first guess and the growth-sized lookahead: 316
@@ -350,7 +352,7 @@ class TestChunkedWalk:
         # by its growth span, 134 with one front over the whole grid
         solver.euler_break_line(ProblemParams(2, 1, 0),
                                 Nonlinearity.power_cutoff(1.0), 1.0, 50, 2e-3)
-        assert sum(sweeps for _, sweeps, _, _ in runs) <= 134
+        assert sum(run.sweeps for run in runs) <= 134
 
     def test_window_length_follows_halvings(self, runs):
         # computing node terms for far more nodes than the walks keep was
@@ -369,15 +371,18 @@ class TestChunkedWalk:
                                    Nonlinearity.power_cutoff(2.5), 0.5,
                                    r_max=5, h0=1e-3)
         assert report.status == "finite_blowup" and len(kept) == 2
-        computed = sum(formed for formed, _, _, _ in runs)
+        computed = sum(run.formed for run in runs)
         assert computed <= 1.5 * sum(kept)
+        # each _cells call costs about as much as forming ~1500 nodes: 35
+        # calls with every chunk capped at the iterate's first stop, 58
+        # with no cap
+        assert sum(run.cells for run in runs) <= 35
         # 344 full sweeps with 32-node windows at first and after each
         # halving, 314 with them after each halving only, 298 with none,
         # 264 with no window cut after 16 sweeps, 266 with the front
-        assert sum(sweeps for _, sweeps, _, _ in runs) <= 266
+        assert sum(run.sweeps for run in runs) <= 266
         # no sweep reaches more than one lookahead past the settled front
-        assert all(longest <= _LOOKAHEAD_MAX + 1
-                   for _, _, _, longest in runs)
+        assert all(run.longest <= _LOOKAHEAD_MAX + 1 for run in runs)
 
     @pytest.mark.parametrize("clamps", [(32, 32), (10 ** 9, 10 ** 9)])
     @pytest.mark.parametrize("args", [

@@ -57,14 +57,15 @@ change that means to alter numeric verdicts regenerates it with
 With `--sweeps` the cases are a fixed list of walks (`SWEEP_CASES`): the
 six sources of the `global` benchmark workload on `euler_break_line`, one
 of them on `detect_blowup`, a blow-up that halves its step many times and
-a steep `exp:3` blow-up.  Each line counts what the walks did: the log f
-evaluations (one per sweep), the nodes they evaluated per node the walks
-kept, the `_cells` calls and the nodes whose radius parts they formed per
-node kept, the nodes kept, and the median wall time per node kept over 7
-calls.  The counts are exact and
-repeat; the times depend on the host.  It reads either the walk's bare
-`Nonlinearity._log_kernel` or, in a tree without one, `log_eval`, so two
-trees compare the same way.
+a steep `exp:3` blow-up.  Each line counts what the walks did: the runs
+(`_front` calls, one per step size), the log f evaluations (one per
+sweep), the nodes they evaluated per node the walks kept, the `_cells`
+calls and the nodes whose radius parts they formed per node kept, the
+nodes kept, and the median wall time per node kept over 7 calls.  The
+counts are exact and repeat; the times depend on the host.  It reads
+either the walk's bare `Nonlinearity._log_kernel` or, in a tree without
+one, `log_eval`, so two trees compare the same way; a tree without
+`_front` prints `-` for the runs.
 """
 
 import argparse
@@ -292,12 +293,13 @@ SWEEP_CASES = [
 
 @contextlib.contextmanager
 def counting(hr, counts):
-    """While open, add to `counts` the walk's log f evaluations and the
-    nodes they evaluate, the `_cells` calls and the nodes they form, and
-    the nodes `_walk` keeps."""
+    """While open, add to `counts` the `_front` runs, the walk's log f
+    evaluations and the nodes they evaluate, the `_cells` calls and the
+    nodes they form, and the nodes `_walk` keeps."""
     solver = importlib.import_module("hessian_radial.solver")
     cls = hr.Nonlinearity
     cells, walk = solver._cells, solver._walk
+    front = getattr(solver, "_front", None)
 
     def counted_log(log):
         def counted(t):
@@ -310,6 +312,10 @@ def counting(hr, counts):
         counts["cells"] += 1
         counts["formed"] += len(s) - 1
         return cells(p, s)
+
+    def counted_front(*args, **kwargs):
+        counts["runs"] += 1
+        return front(*args, **kwargs)
 
     def counted_walk(*args, **kwargs):
         columns, bracket = walk(*args, **kwargs)
@@ -329,11 +335,15 @@ def counting(hr, counts):
         restore = ("log_eval", log_eval)
     setattr(cls, restore[0], patched)
     solver._cells, solver._walk = counted_cells, counted_walk
+    if front is not None:
+        solver._front = counted_front
     try:
         yield counts
     finally:
         setattr(cls, *restore)
         solver._cells, solver._walk = cells, walk
+        if front is not None:
+            solver._front = front
 
 
 def sweeps_line(hr, case, repeats=7):
@@ -349,11 +359,13 @@ def sweeps_line(hr, case, repeats=7):
         start = time.perf_counter()
         run()
         times.append(time.perf_counter() - start)
-    counts = dict.fromkeys(("log_f", "nodes", "cells", "formed", "kept"), 0)
+    counts = dict.fromkeys(
+        ("runs", "log_f", "nodes", "cells", "formed", "kept"), 0)
     with counting(hr, counts):
         run()
     kept = counts["kept"]
-    return (f"{describe(case)} log_f {counts['log_f']} nodes_per_kept "
+    return (f"{describe(case)} runs {counts['runs'] or '-'} "
+            f"log_f {counts['log_f']} nodes_per_kept "
             f"{counts['nodes'] / kept:.3f} cells {counts['cells']} "
             f"formed_per_kept {counts['formed'] / kept:.3f} "
             f"kept {kept} "
