@@ -26,7 +26,8 @@ from .keller_osserman import (DIVERGES, ExistenceReport, existence_verdict,
 from .nonlinearity import parse_f_spec
 from .radial import AdmissibilityError, ProblemParams
 from .solver import (FINITE_BLOWUP, SCHEMA_ID, NonConvergenceError,
-                     _require_walk_sizes, detect_blowup, picard_solve)
+                     _json_floats, _require_walk_sizes, detect_blowup,
+                     picard_solve)
 
 __all__ = ["main"]
 
@@ -188,33 +189,44 @@ def cmd_ko(args) -> int:
     return EXIT_OK
 
 
-_JSON_BOOL = ("false", "true").__getitem__
-_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get
-_REPORT_ROW = ('    {\n      "r": %s,\n      "pass": %s,\n      "margin": %s,\n'
-               '      "gamma_k_ok": %s,\n      "log_domain": %s\n    }')
+_JSON_BOOL = {False: "false", True: "true"}.__getitem__
+# a verify report row, its five values left out
+_REPORT_ROW = ['\n    {\n      "r": ', None, ',\n      "pass": ', None,
+               ',\n      "margin": ', None, ',\n      "gamma_k_ok": ', None,
+               ',\n      "log_domain": ', None, "\n    },"]
 _CSV_ROW = "%.17g,%d,%.17g,%d\n"
-
-
-def _json_floats(column):
-    """json's spelling of each float: repr, NaN, Infinity or -Infinity."""
-    reprs = list(map(repr, column))
-    return map(_JSON_NON_FINITE, reprs, reprs)
 
 
 def _dump_report(fh, report) -> None:
     """`json.dump({"schema": SCHEMA_ID, **report.to_dict()}, fh, indent=2)`
     and a newline, for a verify report: json's indented encoder runs in pure
-    Python, so the rows, nearly all the bytes, come from the report's
-    columns through one template."""
+    Python, so the rows, nearly all the bytes, are one join of the row
+    template repeated, with the report's columns put in its gaps."""
     head = {"schema": SCHEMA_ID, "params": report.params.to_dict(),
             "A": report.A, "alpha": report.alpha, "passed": report.passed,
             "first_failure": report.first_failure}
-    rows = ",\n".join(map(_REPORT_ROW.__mod__, zip(
-        _json_floats(report.radii), map(_JSON_BOOL, report.passes),
-        _json_floats(report.margins), map(_JSON_BOOL, report.gamma_k_ok),
-        map(_JSON_BOOL, report.log_domain))))
+    rows = len(report.radii)
+    parts = _REPORT_ROW * rows
+    width = len(_REPORT_ROW)
+    parts[1::width] = _json_floats(report.radii)
+    parts[3::width] = map(_JSON_BOOL, report.passes)
+    parts[5::width] = _json_floats(report.margins)
+    parts[7::width] = map(_JSON_BOOL, report.gamma_k_ok)
+    parts[9::width] = map(_JSON_BOOL, report.log_domain)
+    if rows:
+        parts[-1] = "\n    }\n  "   # no comma after the last row
     fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "radii": ['  # drop "\n}"
-             + (f"\n{rows}\n  " if rows else "") + "]\n}\n")
+             + "".join(parts) + "]\n}\n")
+
+
+def _dump_csv(fh, report) -> None:
+    """The verify report as CSV rows r,pass,margin,gamma_k_ok: the report
+    has at most 513 rows, formatted with one `%`."""
+    values = [None] * (4 * len(report.radii))
+    values[0::4], values[1::4] = report.radii, report.passes
+    values[2::4], values[3::4] = report.margins, report.gamma_k_ok
+    fh.write("r,pass,margin,gamma_k_ok\n"
+             + (_CSV_ROW * len(report.radii)) % tuple(values))
 
 
 def cmd_verify(args) -> int:
@@ -222,13 +234,7 @@ def cmd_verify(args) -> int:
     radii = default_radii(p, args.A, r_max=args.r_max)
     report = verify_subsolution(p, args.A, args.alpha, radii)
     with _open_out(args.out) as fh:
-        if args.format == "json":
-            _dump_report(fh, report)
-        else:
-            fh.write("r,pass,margin,gamma_k_ok\n")
-            fh.writelines(map(_CSV_ROW.__mod__, zip(
-                report.radii, report.passes, report.margins,
-                report.gamma_k_ok)))
+        (_dump_report if args.format == "json" else _dump_csv)(fh, report)
     return EXIT_OK
 
 

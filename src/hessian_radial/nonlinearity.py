@@ -137,7 +137,8 @@ class Nonlinearity:
 
     def _custom_values(self, tt):
         """The callback's values on `tt`, checked to be >= 0 or +inf."""
-        vals = np.array([float(self.fn(float(v))) for v in tt])
+        vals = np.array([float(self.fn(v))
+                         for v in tt.ravel().tolist()]).reshape(tt.shape)
         if not (vals >= 0).all():
             raise ValueError("custom nonlinearity takes negative values "
                              "or nan")

@@ -37,6 +37,7 @@ def binom(n: int, k: int) -> int:
 
 def elem_sym_all(values: Sequence[float], p: int) -> list[float]:
     """All elementary symmetric polynomials S_1..S_p of `values`."""
+    (p,) = _integers(p=p)
     lam = [float(v) for v in values]
     if not 1 <= p <= len(lam):
         raise ValueError(f"order p must satisfy 1 <= p <= {len(lam)}, got {p}")

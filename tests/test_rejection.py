@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from hessian_radial import (GaussianCandidate, Nonlinearity, ProblemParams,
                             binom, chi, ddphi_at_zero, default_radii,
-                            detect_blowup, dphi_from_integral,
-                            euler_break_line, gaussian_spectrum,
+                            detect_blowup, dphi_from_integral, elem_sym,
+                            elem_sym_all, euler_break_line, gaussian_spectrum,
                             gaussian_threshold, gaussian_threshold_negative_mu,
-                            ko_classify_analytic, ko_classify_numeric, mu_zero,
-                            parse_f_spec, picard_solve, verify_subsolution)
+                            in_gamma_k, ko_classify_analytic,
+                            ko_classify_numeric, mu_zero, parse_f_spec,
+                            picard_solve, verify_subsolution)
 from hessian_radial.cli import main
 
 NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
@@ -58,6 +59,8 @@ def test_problem_params(n, k, mu, dim):
         rejected(call, dim, 1)
         rejected(call, 4, dim)
     rejected(gaussian_threshold_negative_mu, dim, 0.0)
+    for call in (elem_sym_all, elem_sym, in_gamma_k):
+        rejected(call, [1.0, 2.0, 3.0], dim)
 
 
 def test_problem_params_store_plain_ints():
