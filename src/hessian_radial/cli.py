@@ -219,22 +219,20 @@ def _dump_report(fh, report) -> None:
              + "".join(parts) + "]\n}\n")
 
 
-def _dump_csv(fh, report) -> None:
-    """The verify report as CSV rows r,pass,margin,gamma_k_ok: the report
-    has at most 513 rows, formatted with one `%`."""
-    values = [None] * (4 * len(report.radii))
-    values[0::4], values[1::4] = report.radii, report.passes
-    values[2::4], values[3::4] = report.margins, report.gamma_k_ok
-    fh.write("r,pass,margin,gamma_k_ok\n"
-             + (_CSV_ROW * len(report.radii)) % tuple(values))
-
-
 def cmd_verify(args) -> int:
     p = ProblemParams(args.n, args.k, args.mu)
     radii = default_radii(p, args.A, r_max=args.r_max)
     report = verify_subsolution(p, args.A, args.alpha, radii)
     with _open_out(args.out) as fh:
-        (_dump_report if args.format == "json" else _dump_csv)(fh, report)
+        if args.format == "json":
+            _dump_report(fh, report)
+        else:
+            # 512 or 513 rows: one % formats them all
+            values = [None] * (4 * len(radii))
+            values[0::4], values[1::4] = report.radii, report.passes
+            values[2::4], values[3::4] = report.margins, report.gamma_k_ok
+            fh.write("r,pass,margin,gamma_k_ok\n"
+                     + (_CSV_ROW * len(radii)) % tuple(values))
     return EXIT_OK
 
 

@@ -325,10 +325,10 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     The columns are one buffer that :func:`_front` sweeps, one run at a
     time, and fills with the radii its `more` gives as the front needs
     them.  On `nodes` it is one run, whose `more` slices the grid.  The
-    adaptive walk is a run per step size: r, r + step, ... summed as
-    r + step, up to the node where the step halves, a clamped last step or
-    one that r + step rounds away; its lookahead takes h before the run's
-    own halvings.
+    adaptive walk is a run per step size, whose `more` is
+    :func:`_run_radii`: r, r + step, ... summed as r + step, up to the node
+    where the step halves, a clamped last step or one that r + step rounds
+    away; its lookahead takes h before the run's own halvings.
     """
     # dphi * step passes the halving test iff it is finite and <= the cap;
     # on fixed nodes (step 1) the walk stops where dphi is not finite
@@ -381,14 +381,12 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
 
 def _run_radii(r0: float, count: int, h: float, step: float, r_end: float,
                tail: float) -> np.ndarray:
-    """Up to `count` radii past r0, a node of the adaptive walk's run that
-    began at r with step = min(h, r_end - r), summed as r0 + step, ...:
-    fewer where the step would be clamped (min(h, r_end - s) != step), where
-    r_end - s <= tail, or where s + step rounds to s.  Each of these tests
-    holds on a prefix of the radii, since r_end - s never increases and a
-    sum that rounds away stays stalled, so the last radius decides whether
-    all of them pass, and the tests run on every radius only where it
-    fails: at the run's end."""
+    """Up to `count` radii r0 + step, ... past r0, a node of an adaptive
+    run from r by step = min(h, r_end - r): fewer where a step would be
+    clamped, where r_end - s <= tail or where s + step rounds to s.  Each
+    test holds on a prefix of the radii (r_end - s never increases, and a
+    sum that rounds away stays stalled), so the last radius tells whether
+    all pass, and every radius is tested only at the run's end."""
     count = min(count, int((r_end - r0) / step) + 2)
     s = np.concatenate(([r0], np.full(count, step)))
     np.add.accumulate(s, out=s)
