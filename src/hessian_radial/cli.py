@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import re
 import sys
 
@@ -26,8 +27,7 @@ from .keller_osserman import (DIVERGES, ExistenceReport, existence_verdict,
 from .nonlinearity import parse_f_spec
 from .radial import AdmissibilityError, ProblemParams
 from .solver import (FINITE_BLOWUP, SCHEMA_ID, NonConvergenceError,
-                     _json_floats, _require_walk_sizes, detect_blowup,
-                     picard_solve)
+                     _require_walk_sizes, detect_blowup, picard_solve)
 
 __all__ = ["main"]
 
@@ -190,11 +190,22 @@ def cmd_ko(args) -> int:
 
 
 _JSON_BOOL = {False: "false", True: "true"}.__getitem__
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get
 # a verify report row, its five values left out
 _REPORT_ROW = ['\n    {\n      "r": ', None, ',\n      "pass": ', None,
                ',\n      "margin": ', None, ',\n      "gamma_k_ok": ', None,
                ',\n      "log_domain": ', None, "\n    },"]
 _CSV_ROW = "%.17g,%d,%.17g,%d\n"
+
+
+def _json_floats(column) -> list[str]:
+    """json's spelling of each float of a column of Python floats: repr,
+    or NaN, Infinity or -Infinity where the column holds one."""
+    reprs = list(map(repr, column))
+    # a float sum is finite only if every term is
+    if math.isfinite(sum(column)):
+        return reprs
+    return list(map(_JSON_NON_FINITE, reprs, reprs))
 
 
 def _dump_report(fh, report) -> None:
@@ -227,12 +238,10 @@ def cmd_verify(args) -> int:
         if args.format == "json":
             _dump_report(fh, report)
         else:
-            # 512 or 513 rows: one % formats them all
-            values = [None] * (4 * len(radii))
-            values[0::4], values[1::4] = report.radii, report.passes
-            values[2::4], values[3::4] = report.margins, report.gamma_k_ok
-            fh.write("r,pass,margin,gamma_k_ok\n"
-                     + (_CSV_ROW * len(radii)) % tuple(values))
+            fh.write("r,pass,margin,gamma_k_ok\n")
+            fh.writelines(map(_CSV_ROW.__mod__, zip(
+                report.radii, report.passes, report.margins,
+                report.gamma_k_ok)))
     return EXIT_OK
 
 

@@ -137,8 +137,7 @@ class Nonlinearity:
 
     def _custom_values(self, tt):
         """The callback's values on `tt`, checked to be >= 0 or +inf."""
-        vals = np.array([float(self.fn(v))
-                         for v in tt.ravel().tolist()]).reshape(tt.shape)
+        vals = np.array([float(self.fn(v)) for v in tt.tolist()])
         if not (vals >= 0).all():
             raise ValueError("custom nonlinearity takes negative values "
                              "or nan")

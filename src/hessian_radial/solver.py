@@ -26,7 +26,6 @@ feeds straight into the curvature at 0; with the exact weight moments the
 leading-order behaviour of the first cells is captured.
 """
 
-import functools
 import json
 import math
 import sys
@@ -141,31 +140,8 @@ class RadialProfile:
         }
 
     def to_json(self, fileobj) -> None:
-        """`json.dump(self.to_json_dict(), fileobj, indent=2)` and a
-        newline: json's indented encoder runs in pure Python, so the
-        columns, nearly all the bytes, are joined from their spellings."""
-        payload = self.to_json_dict()
-        columns = [(name, payload.pop(name))
-                   for name in ("r", "phi", "dphi", "volterra", "defect")]
-        fileobj.write(json.dumps(payload, indent=2)[:-2])   # drop "\n}"
-        for name, column in columns:
-            fileobj.write(f',\n  "{name}": ' + (
-                "[\n    " + ",\n    ".join(_json_floats(column)) + "\n  ]"
-                if column else "[]"))
-        fileobj.write("\n}\n")
-
-
-_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get
-
-
-def _json_floats(column) -> list[str]:
-    """json's spelling of each float of a column of Python floats: repr,
-    or NaN, Infinity or -Infinity where the column holds one."""
-    reprs = list(map(repr, column))
-    # a float sum is finite only if every term is
-    if math.isfinite(sum(column)):
-        return reprs
-    return list(map(_JSON_NON_FINITE, reprs, reprs))
+        json.dump(self.to_json_dict(), fileobj, indent=2)
+        fileobj.write("\n")
 
 
 @dataclass(frozen=True)
@@ -325,10 +301,10 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
     The columns are one buffer that :func:`_front` sweeps, one run at a
     time, and fills with the radii its `more` gives as the front needs
     them.  On `nodes` it is one run, whose `more` slices the grid.  The
-    adaptive walk is a run per step size, whose `more` is
-    :func:`_run_radii`: r, r + step, ... summed as r + step, up to the node
-    where the step halves, a clamped last step or one that r + step rounds
-    away; its lookahead takes h before the run's own halvings.
+    adaptive walk is a run per step size: r, r + step, ... summed as
+    r + step, up to the node where the step halves, a clamped last step or
+    one that r + step rounds away; its lookahead takes h before the run's
+    own halvings.
     """
     # dphi * step passes the halving test iff it is finite and <= the cap;
     # on fixed nodes (step 1) the walk stops where dphi is not finite
@@ -367,8 +343,19 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
                     bracket = (r, max(float(r + h_entry),
                                       math.nextafter(r, math.inf)))
                     break
-                more = functools.partial(_run_radii, h=h, step=step,
-                                         r_end=r_end, tail=tail)
+
+                def more(r0, count, h=h, step=step):
+                    """Up to `count` nodes past r0 by steps of this size
+                    that move r: fewer where the step would be clamped or
+                    rounded away."""
+                    count = min(count, int((r_end - r0) / step) + 2)
+                    s = np.concatenate(([r0], np.full(count, step)))
+                    np.add.accumulate(s, out=s)
+                    left = r_end - s[:-1]
+                    steps = ((np.minimum(h, left) == step) & (left > tail)
+                             & (s[1:] > s[:-1]))
+                    return s[1:] if steps.all() \
+                        else s[1:int(np.argmin(steps)) + 1]
             rows, j = _front(p, log_f, rows, j, more, h_entry, step,
                              step_cap, phi_cap)
             if rows[1, j] > phi_cap:
@@ -377,25 +364,6 @@ def _walk(p: ProblemParams, f: Nonlinearity, a: float, r_end: float,
             if nodes is not None:
                 break
     return rows[:, :j + 1], bracket
-
-
-def _run_radii(r0: float, count: int, h: float, step: float, r_end: float,
-               tail: float) -> np.ndarray:
-    """Up to `count` radii r0 + step, ... past r0, a node of an adaptive
-    run from r by step = min(h, r_end - r): fewer where a step would be
-    clamped, where r_end - s <= tail or where s + step rounds to s.  Each
-    test holds on a prefix of the radii (r_end - s never increases, and a
-    sum that rounds away stays stalled), so the last radius tells whether
-    all pass, and every radius is tested only at the run's end."""
-    count = min(count, int((r_end - r0) / step) + 2)
-    s = np.concatenate(([r0], np.full(count, step)))
-    np.add.accumulate(s, out=s)
-    s0, s1 = s[-2:].tolist()
-    if min(h, r_end - s0) == step and r_end - s0 > tail and s1 > s0:
-        return s[1:]
-    left = r_end - s[:-1]
-    steps = (np.minimum(h, left) == step) & (left > tail) & (s[1:] > s[:-1])
-    return s[1:int(np.argmin(steps)) + 1]
 
 
 def _growth(r: np.ndarray, dphi: np.ndarray, i: int) -> float:

@@ -73,7 +73,6 @@ def in_gamma_k(values: Sequence[float], k: int) -> bool:
     exact (no tolerance): the cone is open, so callers needing slack should
     perturb the spectrum themselves.
     """
-    (k,) = _integers(k=k)
     return all(s > 0.0 for s in elem_sym_all(values, k))
 
 

@@ -3,7 +3,7 @@
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -524,30 +524,6 @@ class TestProfileSerialization:
         assert payload["f"] == "const:1"
         assert len(payload["r"]) == len(payload["phi"]) == 5
         assert len(payload["defect"]) == 4
-
-    @settings(max_examples=150, deadline=None)
-    @given(raw_profiles(), st.none() | st.floats())
-    @example(picard_solve(ProblemParams(3, 2, 0.1), EXP1, 0.0, 1.0, 1e-2),
-             None)
-    @example(euler_break_line(ProblemParams(3, 1, -0.3), CONST1, 0.5, 2.0,
-                              1e-3), None)
-    @example(euler_break_line(ProblemParams(4, 4, 0.0), EXP1, 1.0, 3.0, 1e-3),
-             None)   # truncated_at set
-    @example(RadialProfile(*(np.zeros(1) for _ in range(4)),
-                           ProblemParams(2, 1, 0.0), CONST1), None)
-    @example(_cycled_profile(40), -0.0)
-    @example(GivenDefectProfile(
-        *(np.array([-0.0, 5e-324, 1e308]) for _ in range(4)),
-        ProblemParams(2, 1, 0.0), CONST1,
-        given_defects=np.array([1e308, -0.0])), 5e-324)
-    def test_json_equals_json_dump(self, profile, truncated_at):
-        if profile.truncated_at is None:
-            profile = replace(profile, truncated_at=truncated_at)
-        want, got = io.StringIO(), io.StringIO()
-        json.dump(profile.to_json_dict(), want, indent=2)
-        want.write("\n")
-        profile.to_json(got)
-        assert got.getvalue() == want.getvalue()
 
     def test_one_node_profile_has_no_defects(self):
         prof = RadialProfile(*(np.zeros(1) for _ in range(4)),

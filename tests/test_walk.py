@@ -7,14 +7,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hessian_radial import (Nonlinearity, ProblemParams, binom,
                             detect_blowup, solver)
 from hessian_radial.radial import _smooth_factor
-from hessian_radial.solver import (_LOOKAHEAD_MAX, _run_radii,
-                                   _uniform_grid, _walk)
+from hessian_radial.solver import _LOOKAHEAD_MAX, _uniform_grid, _walk
 
 SOURCES = {
     "const": Nonlinearity.constant(1.7),
@@ -417,64 +416,6 @@ class TestChunkedWalk:
         got, want = both_walks(p, SOURCES[family], a, r_end, r_end / m,
                                fixed, phi_cap)
         assert_same_walk(got, want)
-
-
-def scanned_run_radii(r0, count, h, step, r_end, tail):
-    """`_run_radii` with every run-end test on every radius."""
-    count = min(count, int((r_end - r0) / step) + 2)
-    s = np.concatenate(([r0], np.full(count, step)))
-    np.add.accumulate(s, out=s)
-    left = r_end - s[:-1]
-    steps = (np.minimum(h, left) == step) & (left > tail) & (s[1:] > s[:-1])
-    return s[1:] if steps.all() else s[1:int(np.argmin(steps)) + 1]
-
-
-@st.composite
-def run_chunks(draw):
-    """The arguments the adaptive walk gives `_run_radii`: a run from r by
-    step = min(h, r_end - r), asked for radii past r or past the last
-    radius of a full chunk before.  A third of the runs start just below a
-    power of two by steps of about an ulp, so that sums past it round away,
-    and a third end within 100 steps of r_end, some by steps below the
-    tail."""
-    mode = draw(st.sampled_from(["ulp", "any", "near_end"]))
-    if mode == "ulp":
-        e = draw(st.integers(-20, 60))
-        r = 2.0 ** e * (1.0 - draw(st.integers(1, 40)) * 2.0 ** -53)
-        h = 2.0 ** (e - 53) * draw(st.sampled_from([0.5, 0.75, 1.0, 1.5, 3.0]))
-        r_end = 2.0 ** e * draw(st.sampled_from([1.0 + 2.0 ** -45, 1.5, 4.0]))
-    else:
-        r_end = draw(st.floats(1e-3, 1e6))
-        h = draw(st.floats(1e-9, 2.0) | st.floats(1e-15, 1e-11)) * r_end
-        r = draw(st.floats(0.0, r_end)) if mode == "any" \
-            else max(0.0, r_end - draw(st.integers(1, 100)) * h)
-    tail, step = 1e-12 * r_end, min(h, r_end - r)
-    assume(r_end - r > tail and r + step > r)
-    before = draw(st.integers(0, 40))
-    chunk = scanned_run_radii(r, before, h, step, r_end, tail)
-    r0 = float(chunk[-1]) if before and len(chunk) == before else r
-    return r0, draw(st.integers(1, 64)), h, step, r_end, tail
-
-
-class TestRunRadii:
-    """The run-end tests hold on a prefix of a chunk's radii, so testing
-    the last radius alone gives the full scan's radii."""
-
-    @given(run_chunks())
-    # a clamped last step, an end within the tail, and a stall: 2^53 + 1
-    # rounds to 2^53
-    @example((0.75, 8, 1.0, 0.25, 1.0, 1e-12))
-    @example((1.0 - 5e-12, 45, 1e-13, 1e-13, 1.0, 1e-12))
-    @example((2.0 ** 53 - 2, 8, 1.0, 1.0, 2.0 ** 54, 1e-12 * 2.0 ** 54))
-    @settings(max_examples=300, deadline=None)
-    def test_equals_the_full_scan(self, args):
-        got, want = _run_radii(*args), scanned_run_radii(*args)
-        assert got.tobytes() == want.tobytes()
-
-    def test_a_sum_that_rounds_away_ends_the_run(self):
-        radii = _run_radii(2.0 ** 53 - 2, 8, 1.0, 1.0, 2.0 ** 54,
-                           1e-12 * 2.0 ** 54)
-        assert radii.tolist() == [2.0 ** 53 - 1, 2.0 ** 53]
 
 
 def float_path(fn, *args):
